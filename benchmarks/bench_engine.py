@@ -27,7 +27,7 @@ import sys
 
 import pytest
 
-# Standalone-script bootstrap (mirrors bench_obs_overhead.py): make
+# Standalone-script bootstrap: make
 # `python benchmarks/bench_engine.py` work without PYTHONPATH.
 _SRC = pathlib.Path(__file__).resolve().parent.parent / "src"
 if str(_SRC) not in sys.path:  # pragma: no cover

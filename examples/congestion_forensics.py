@@ -23,7 +23,8 @@ def main() -> None:
     k, n = 4, 3
     env = Environment()
     engine = WormholeEngine(env, build_network("tmin", k, n), rng=RandomStream(1))
-    engine.tracer = Tracer()
+    tracer = Tracer()
+    engine.bus.attach(tracer)
 
     shuffle = PerfectShuffle(k, n)
     pairs = [(s, shuffle(s)) for s in range(64) if s != shuffle(s)]
@@ -39,7 +40,7 @@ def main() -> None:
           f"in {env.now:g} cycles\n")
 
     print("dynamic blocking hotspots (tracer):")
-    for label, count in engine.tracer.blocking_hotspots(top=6):
+    for label, count in tracer.blocking_hotspots(top=6):
         print(f"  {label:<16} blocked headers {count} times")
     print()
 
@@ -53,7 +54,7 @@ def main() -> None:
 
     slowest = max(packets, key=lambda p: p.latency)
     print("slowest packet's life:")
-    print(engine.tracer.format_timeline(slowest.pid))
+    print(tracer.format_timeline(slowest.pid))
 
 
 if __name__ == "__main__":

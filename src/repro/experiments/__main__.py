@@ -99,8 +99,7 @@ def _run_replay(args: argparse.Namespace, run_cfg) -> int:
         env,
         network.build(),
         rng=root.fork(f"engine/{label}/replay"),
-        fast=kind != "reference",
-        batch=kind == "batch",
+        engine=kind,
     )
     transport = ReliableTransport(
         engine, rng=root.fork(f"transport/{label}/replay")

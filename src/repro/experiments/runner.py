@@ -48,8 +48,7 @@ def build_point(
         env,
         network.build(),
         rng=root.fork(f"engine/{network.label}/{offered_load}"),
-        fast=kind != "reference",
-        batch=kind == "batch",
+        engine=kind,
     )
     return env, sim_engine, root
 

@@ -16,7 +16,7 @@ retry) with the engine choice honored.
 from __future__ import annotations
 
 from repro.experiments.config import RunConfig
-from repro.experiments.runner import _run_until_delivered, run_point
+from repro.experiments.runner import _run_until_delivered, build_point, run_point
 from repro.metrics.collector import Measurement, MeasurementWindow, measurement_to_dict
 from repro.serve.job import PointSpec
 from repro.traffic.workload import Workload
@@ -105,22 +105,12 @@ def _run_transport_point(point: PointSpec, run_cfg: RunConfig) -> dict:
     normalized configuration and the end-to-end tallies.
     """
     from repro.faults.mtbf import MTBFChurn
-    from repro.sim.core import Environment
-    from repro.sim.rng import RandomStream
     from repro.transport import ReliableTransport, TransportConfig
-    from repro.wormhole.engine import WormholeEngine, resolve_engine
 
-    kind = resolve_engine(point.engine)
-    env = Environment(scheduler="heap" if kind == "reference" else "calendar")
-    root = RandomStream(run_cfg.seed, name="root")
-    label = point.network.label
-    engine = WormholeEngine(
-        env,
-        point.network.build(),
-        rng=root.fork(f"engine/{label}/{point.load}"),
-        fast=kind != "reference",
-        batch=kind == "batch",
+    env, engine, root = build_point(
+        point.network, point.load, run_cfg, point.engine
     )
+    label = point.network.label
     transport = ReliableTransport(
         engine,
         TransportConfig(**point.transport),
@@ -180,22 +170,12 @@ def _run_faulted_point(point: PointSpec, run_cfg: RunConfig) -> Measurement:
     """The availability-style execution path, engine choice included."""
     from repro.faults.mtbf import MTBFChurn
     from repro.faults.recovery import RetryPolicy, SourceRetry
-    from repro.sim.core import Environment
-    from repro.sim.rng import RandomStream
-    from repro.wormhole.engine import WormholeEngine, resolve_engine
 
     faults = point.faults
-    kind = resolve_engine(point.engine)
-    env = Environment(scheduler="heap" if kind == "reference" else "calendar")
-    root = RandomStream(run_cfg.seed, name="root")
-    label = point.network.label
-    engine = WormholeEngine(
-        env,
-        point.network.build(),
-        rng=root.fork(f"engine/{label}/{point.load}"),
-        fast=kind != "reference",
-        batch=kind == "batch",
+    env, engine, root = build_point(
+        point.network, point.load, run_cfg, point.engine
     )
+    label = point.network.label
     SourceRetry(
         engine,
         RetryPolicy(max_attempts=faults.max_attempts),

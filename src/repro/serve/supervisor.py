@@ -450,11 +450,16 @@ class WorkerSupervisor:
             # Every task is settled by now, so a worker still busy is
             # computing a stale answer (hedge twin, interrupted point):
             # kill it outright instead of waiting out the join deadline.
+            # Split idle from busy before any sentinel goes out: an idle
+            # worker may take any sentinel and exit at once, so checking
+            # liveness while putting them would skip a worker and leave
+            # another blocked on the queue until the join deadline.
+            idle = [w for w in workers if w.proc.is_alive() and w.current is None]
             for w in workers:
-                if w.proc.is_alive() and w.current is None:
-                    task_q.put(None)
-                elif w.proc.is_alive():
+                if w.current is not None and w.proc.is_alive():
                     kill_worker(w)
+            for _ in idle:
+                task_q.put(None)
             deadline = time.monotonic() + 2.0  # lint-sim: ignore[RPV002] -- harness shutdown, not sim state
             for w in workers:
                 w.proc.join(timeout=max(0.0, deadline - time.monotonic()))  # lint-sim: ignore[RPV002] -- harness shutdown, not sim state

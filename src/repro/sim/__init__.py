@@ -2,18 +2,16 @@
 
 A small, self-contained process-based DES kernel in the style of SimPy,
 written from scratch because this reproduction may not rely on external
-simulation packages.  It provides:
+simulation packages.  It provides only what the simulator uses:
 
 * :class:`~repro.sim.core.Environment` -- the event loop / scheduler.
 * :class:`~repro.sim.events.Event`, :class:`~repro.sim.events.Timeout`,
   :class:`~repro.sim.events.Process` -- the event primitives.  Processes
   are Python generators that ``yield`` events to wait on them.
-* :class:`~repro.sim.events.AllOf` / :class:`~repro.sim.events.AnyOf` --
-  condition events over multiple sub-events.
-* :class:`~repro.sim.resources.Resource`,
-  :class:`~repro.sim.resources.PriorityResource`,
-  :class:`~repro.sim.resources.Store` and
-  :class:`~repro.sim.resources.Container` -- shared-resource primitives.
+* :class:`~repro.sim.resources.Resource` /
+  :class:`~repro.sim.resources.Request` -- a FIFO shared resource with
+  ``capacity`` slots (the circuit/packet-switching engines hold one per
+  channel).
 * :class:`~repro.sim.rng.RandomStream` -- reproducible random-variate
   streams (exponential, uniform-integer, bimodal, ...) used by the
   workload generators.
@@ -24,41 +22,19 @@ usable standalone (see ``examples/`` and the unit tests).
 """
 
 from repro.sim.core import Environment, EmptySchedule, StopSimulation
-from repro.sim.events import (
-    AllOf,
-    AnyOf,
-    Event,
-    Interrupt,
-    Process,
-    ProcessCrash,
-    Timeout,
-)
-from repro.sim.resources import (
-    Container,
-    Preempted,
-    PreemptiveResource,
-    PriorityResource,
-    Resource,
-    Store,
-)
+from repro.sim.events import Event, Process, ProcessCrash, Timeout
+from repro.sim.resources import Request, Resource
 from repro.sim.rng import RandomStream
 
 __all__ = [
-    "AllOf",
-    "AnyOf",
-    "Container",
     "EmptySchedule",
     "Environment",
     "Event",
-    "Interrupt",
-    "Preempted",
-    "PreemptiveResource",
-    "PriorityResource",
     "Process",
     "ProcessCrash",
     "RandomStream",
+    "Request",
     "Resource",
     "StopSimulation",
-    "Store",
     "Timeout",
 ]

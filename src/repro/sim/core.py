@@ -30,17 +30,9 @@ from __future__ import annotations
 
 from heapq import heappop, heappush
 from itertools import count
-from typing import Any, Generator, Iterable, Optional, Union
+from typing import Any, Generator, Optional, Union
 
-from repro.sim.events import (
-    PRIORITY_NORMAL,
-    AllOf,
-    AnyOf,
-    Event,
-    Process,
-    ProcessCrash,
-    Timeout,
-)
+from repro.sim.events import PRIORITY_NORMAL, Event, Process, ProcessCrash, Timeout
 
 
 class EmptySchedule(Exception):
@@ -102,7 +94,6 @@ class Environment:
         self._ring_base = int(initial_time)
         self._ring_count = 0
         self._eid = count()
-        self._active_process: Optional[Process] = None
         # Always-on kernel counters (plain increments; read by
         # :class:`repro.obs.profiler.KernelProfiler`).
         #: Total events pushed onto the schedule.
@@ -118,11 +109,6 @@ class Environment:
     def now(self) -> float:
         """Current simulation time."""
         return self._now
-
-    @property
-    def active_process(self) -> Optional[Process]:
-        """The process currently being resumed (None between events)."""
-        return self._active_process
 
     def peek(self) -> float:
         """Time of the next scheduled event, or ``inf`` if none."""
@@ -227,14 +213,6 @@ class Environment:
     ) -> Process:
         """Start a new process running ``generator``."""
         return Process(self, generator, name=name)
-
-    def all_of(self, events: Iterable[Event]) -> AllOf:
-        """Event triggering once all ``events`` have triggered."""
-        return AllOf(self, events)
-
-    def any_of(self, events: Iterable[Event]) -> AnyOf:
-        """Event triggering once any of ``events`` has triggered."""
-        return AnyOf(self, events)
 
     # -- run loop -----------------------------------------------------------
 
@@ -350,7 +328,6 @@ class Environment:
         self._ring_base = int(self._initial_time)
         self._ring_count = 0
         self._eid = count()
-        self._active_process = None
         self.events_scheduled = 0
         self.events_fired = 0
         self.max_heap_depth = 0

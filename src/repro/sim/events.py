@@ -11,12 +11,12 @@ The lifecycle of an event is::
 Events may *succeed* with a value or *fail* with an exception.  A failed
 event re-raises its exception inside every process that waits on it,
 unless the failure was explicitly marked as *defused* (e.g. because a
-condition event already consumed it).
+waiting process already caught it).
 """
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Any, Callable, Generator, Iterable, Optional
+from typing import TYPE_CHECKING, Any, Callable, Generator, Optional
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard for type hints
     from repro.sim.core import Environment
@@ -26,18 +26,6 @@ PRIORITY_URGENT = 0
 PRIORITY_NORMAL = 1
 
 _PENDING = object()  #: sentinel for "no value yet"
-
-
-class Interrupt(Exception):
-    """Raised inside a process when :meth:`Process.interrupt` is called.
-
-    The interrupting party may attach an arbitrary ``cause``.
-    """
-
-    @property
-    def cause(self) -> Any:
-        """The value passed to :meth:`Process.interrupt`."""
-        return self.args[0]
 
 
 class ProcessCrash(RuntimeError):
@@ -133,14 +121,6 @@ class Event:
         )
         return f"<{type(self).__name__} ({state}) at {id(self):#x}>"
 
-    # -- composition -----------------------------------------------------
-
-    def __and__(self, other: "Event") -> "AllOf":
-        return AllOf(self.env, [self, other])
-
-    def __or__(self, other: "Event") -> "AnyOf":
-        return AnyOf(self.env, [self, other])
-
 
 class Timeout(Event):
     """An event that occurs ``delay`` time units after creation."""
@@ -181,7 +161,7 @@ class Process(Event):
     value of a ``StopIteration`` / ``return`` becomes the process value.
     """
 
-    __slots__ = ("_generator", "_target", "name")
+    __slots__ = ("_generator", "name")
 
     def __init__(
         self,
@@ -193,8 +173,6 @@ class Process(Event):
             raise TypeError(f"{generator!r} is not a generator")
         super().__init__(env)
         self._generator = generator
-        #: The event this process currently waits on (None when running).
-        self._target: Optional[Event] = None
         self.name = name or getattr(generator, "__name__", "process")
         Initialize(env, self)
 
@@ -203,37 +181,9 @@ class Process(Event):
         """True while the wrapped generator has not exited."""
         return self._value is _PENDING
 
-    @property
-    def target(self) -> Optional[Event]:
-        """The event the process is currently waiting on."""
-        return self._target
-
-    def interrupt(self, cause: Any = None) -> None:
-        """Throw :class:`Interrupt` into the process at its wait point."""
-        if not self.is_alive:
-            raise RuntimeError(f"{self!r} has terminated and cannot be interrupted")
-        if self is self.env.active_process:
-            raise RuntimeError("a process is not allowed to interrupt itself")
-        interrupt_event = Event(self.env)
-        interrupt_event._ok = False
-        interrupt_event._value = Interrupt(cause)
-        interrupt_event.defused = True
-        interrupt_event.callbacks.append(self._resume)
-        self.env.schedule(interrupt_event, priority=PRIORITY_URGENT)
-
     def _resume(self, event: Event) -> None:
         """Advance the generator with the outcome of ``event``."""
         env = self.env
-        # If we were interrupted while waiting, detach from the old target
-        # so its eventual trigger does not resume us twice.
-        if self._target is not None and self._target is not event:
-            if self._target.callbacks is not None:
-                try:
-                    self._target.callbacks.remove(self._resume)
-                except ValueError:  # pragma: no cover - defensive
-                    pass
-        self._target = None
-        env._active_process = self
         while True:
             try:
                 if event._ok:
@@ -264,75 +214,9 @@ class Process(Event):
             if next_event.callbacks is not None:
                 # Not yet processed: register and go to sleep.
                 next_event.callbacks.append(self._resume)
-                self._target = next_event
                 break
             # Already processed: continue immediately with its outcome.
             event = next_event
 
-        env._active_process = None
-
     def __repr__(self) -> str:
         return f"<Process {self.name!r} at {id(self):#x}>"
-
-
-class Condition(Event):
-    """Base for events composed of several sub-events (AllOf / AnyOf)."""
-
-    __slots__ = ("_events", "_count")
-
-    def __init__(self, env: "Environment", events: Iterable[Event]) -> None:
-        super().__init__(env)
-        self._events = list(events)
-        self._count = 0
-        for event in self._events:
-            if event.env is not env:
-                raise ValueError("cannot mix events from different environments")
-        # Register on sub-events (immediately check processed ones).
-        for event in self._events:
-            if event.callbacks is None:
-                self._check(event)
-            else:
-                event.callbacks.append(self._check)
-        if not self._events and not self.triggered:
-            self.succeed(self._collect())
-
-    def _collect(self) -> dict[Event, Any]:
-        """Values of all processed, successful sub-events, in order."""
-        return {
-            event: event._value
-            for event in self._events
-            if event.callbacks is None and event._ok
-        }
-
-    def _satisfied(self) -> bool:  # pragma: no cover - abstract
-        raise NotImplementedError
-
-    def _check(self, event: Event) -> None:
-        if self.triggered:
-            if not event._ok:
-                event.defused = True
-            return
-        self._count += 1
-        if not event._ok:
-            event.defused = True
-            self.fail(event._value)
-        elif self._satisfied():
-            self.succeed(self._collect())
-
-
-class AllOf(Condition):
-    """Triggers when *all* sub-events have triggered."""
-
-    __slots__ = ()
-
-    def _satisfied(self) -> bool:
-        return self._count == len(self._events)
-
-
-class AnyOf(Condition):
-    """Triggers when *any* sub-event has triggered."""
-
-    __slots__ = ()
-
-    def _satisfied(self) -> bool:
-        return self._count >= 1

@@ -1,30 +1,19 @@
-"""Shared-resource primitives built on the event kernel.
+"""The shared-resource primitive built on the event kernel.
 
-These follow the SimPy resource model:
-
-* :class:`Resource` -- ``capacity`` slots; processes ``yield
-  resource.request()`` to acquire and call ``resource.release(req)`` (or
-  use the request as a context manager) to free a slot.
-* :class:`PriorityResource` -- requests carry a priority; lower values
-  acquire first.
-* :class:`Store` -- a FIFO buffer of Python objects with optional
-  capacity; ``put(item)`` / ``get()`` are events.
-* :class:`Container` -- a continuous level (e.g. fuel); ``put(amount)``
-  / ``get(amount)`` are events.
+:class:`Resource` follows the SimPy model: ``capacity`` slots;
+processes ``yield resource.request()`` to acquire and call
+``resource.release(req)`` (or use the request as a context manager) to
+free a slot.  Waiters are granted in FIFO order.
 """
 
 from __future__ import annotations
 
-from heapq import heappop, heappush
-from itertools import count
-from typing import TYPE_CHECKING, Any, Callable, Optional
+from typing import TYPE_CHECKING, Any
 
 from repro.sim.events import Event
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.sim.core import Environment
-
-Infinity = float("inf")
 
 
 class Request(Event):
@@ -92,293 +81,3 @@ class Resource:
             self.queue.remove(request)
         elif request in self.users:
             self.release(request)
-
-
-class PriorityRequest(Request):
-    """Request with a priority (lower value = earlier grant)."""
-
-    __slots__ = ("priority", "_order")
-
-    def __init__(self, resource: "PriorityResource", priority: int) -> None:
-        self.priority = priority
-        self._order = next(resource._ticket)
-        super().__init__(resource)
-
-    def __lt__(self, other: "PriorityRequest") -> bool:
-        return (self.priority, self._order) < (other.priority, other._order)
-
-
-class PriorityResource(Resource):
-    """A :class:`Resource` whose wait queue is ordered by priority."""
-
-    def __init__(self, env: "Environment", capacity: int = 1) -> None:
-        self._ticket = count()
-        super().__init__(env, capacity)
-        self._heap: list[PriorityRequest] = []
-
-    def request(self, priority: int = 0) -> PriorityRequest:  # type: ignore[override]
-        """Request a slot; lower ``priority`` values are granted first."""
-        req = PriorityRequest(self, priority)
-        if len(self.users) < self.capacity:
-            self.users.append(req)
-            req.succeed()
-        else:
-            heappush(self._heap, req)
-            self.queue = list(self._heap)  # keep the public view coherent
-        return req
-
-    def _grant_next(self) -> None:
-        while self._heap and len(self.users) < self.capacity:
-            nxt = heappop(self._heap)
-            self.users.append(nxt)
-            nxt.succeed()
-        self.queue = list(self._heap)
-
-    def _cancel(self, request: Request) -> None:
-        if request in self._heap:
-            self._heap.remove(request)
-            self.queue = list(self._heap)
-        elif request in self.users:
-            self.release(request)
-
-
-class Preempted:
-    """Cause attached to the Interrupt a preemption victim receives."""
-
-    def __init__(self, by: "PreemptiveRequest", usage_since: float) -> None:
-        self.by = by
-        self.usage_since = usage_since
-
-    def __repr__(self) -> str:
-        return f"<Preempted by priority {self.by.priority} (held since {self.usage_since})>"
-
-
-class PreemptiveRequest(PriorityRequest):
-    """Priority request that may evict a lower-priority holder."""
-
-    __slots__ = ("preempt", "holder_process", "acquired_at")
-
-    def __init__(
-        self, resource: "PreemptiveResource", priority: int, preempt: bool
-    ) -> None:
-        self.preempt = preempt
-        #: The requesting process (captured at request time -- the
-        #: grant may happen later, inside another process's context),
-        #: so a preemptor knows whom to interrupt.
-        self.holder_process = resource.env.active_process
-        self.acquired_at: float = -1.0
-        super().__init__(resource, priority)
-
-
-class PreemptiveResource(PriorityResource):
-    """A priority resource where urgent requests evict lesser holders.
-
-    A request with ``preempt=True`` that finds the resource full evicts
-    the holder with the *worst* priority, provided it is strictly worse
-    than the requester's: the victim's slot is reclaimed and its process
-    receives an :class:`~repro.sim.events.Interrupt` whose cause is a
-    :class:`Preempted` record.  The victim must not release the request
-    again (the eviction already did).
-    """
-
-    def request(  # type: ignore[override]
-        self, priority: int = 0, preempt: bool = True
-    ) -> PreemptiveRequest:
-        """Request a slot, optionally evicting a worse-priority holder."""
-        req = PreemptiveRequest(self, priority, preempt)
-        if len(self.users) >= self.capacity and req.preempt:
-            victim = max(
-                (u for u in self.users if isinstance(u, PreemptiveRequest)),
-                key=lambda u: (u.priority, u._order),
-                default=None,
-            )
-            if victim is not None and victim.priority > req.priority:
-                self.users.remove(victim)
-                if victim.holder_process is not None and victim.holder_process.is_alive:
-                    victim.holder_process.interrupt(
-                        Preempted(req, victim.acquired_at)
-                    )
-        if len(self.users) < self.capacity:
-            self._grant(req)
-        else:
-            heappush(self._heap, req)
-            self.queue = list(self._heap)
-        return req
-
-    def _grant(self, req: PreemptiveRequest) -> None:
-        self.users.append(req)
-        req.acquired_at = self.env.now
-        req.succeed()
-
-    def _grant_next(self) -> None:
-        while self._heap and len(self.users) < self.capacity:
-            nxt = heappop(self._heap)
-            self._grant(nxt)
-        self.queue = list(self._heap)
-
-    def release(self, request: Request) -> None:
-        """Free the slot; tolerates a victim double-releasing after
-        eviction (the context-manager exit path)."""
-        if request not in self.users:
-            if isinstance(request, PreemptiveRequest):
-                self._cancel(request)
-                return
-            raise RuntimeError(f"{request!r} does not hold {self!r}")
-        self.users.remove(request)
-        self._grant_next()
-
-
-class StorePut(Event):
-    """Triggers once the item has been stored."""
-
-    __slots__ = ("item",)
-
-    def __init__(self, store: "Store", item: Any) -> None:
-        super().__init__(store.env)
-        self.item = item
-
-
-class StoreGet(Event):
-    """Triggers with the retrieved item as its value."""
-
-    __slots__ = ("filter",)
-
-    def __init__(self, store: "Store", filter: Optional[Callable[[Any], bool]]) -> None:
-        super().__init__(store.env)
-        self.filter = filter
-
-
-class Store:
-    """A FIFO buffer of items with optional capacity."""
-
-    def __init__(self, env: "Environment", capacity: float = Infinity) -> None:
-        if capacity <= 0:
-            raise ValueError("capacity must be positive")
-        self.env = env
-        self.capacity = capacity
-        self.items: list[Any] = []
-        self._putters: list[StorePut] = []
-        self._getters: list[StoreGet] = []
-
-    def __len__(self) -> int:
-        return len(self.items)
-
-    def put(self, item: Any) -> StorePut:
-        """Event that triggers once ``item`` has been stored."""
-        ev = StorePut(self, item)
-        self._putters.append(ev)
-        self._settle()
-        return ev
-
-    def get(self, filter: Optional[Callable[[Any], bool]] = None) -> StoreGet:
-        """Event that triggers with the next item (optionally filtered)."""
-        ev = StoreGet(self, filter)
-        self._getters.append(ev)
-        self._settle()
-        return ev
-
-    def _settle(self) -> None:
-        progressed = True
-        while progressed:
-            progressed = False
-            # Admit pending puts while there is room.
-            while self._putters and len(self.items) < self.capacity:
-                put = self._putters.pop(0)
-                self.items.append(put.item)
-                put.succeed()
-                progressed = True
-            # Serve getters whose filter matches something.
-            i = 0
-            while i < len(self._getters):
-                get = self._getters[i]
-                idx = self._match(get)
-                if idx is None:
-                    i += 1
-                    continue
-                item = self.items.pop(idx)
-                self._getters.pop(i)
-                get.succeed(item)
-                progressed = True
-
-    def _match(self, get: StoreGet) -> Optional[int]:
-        if get.filter is None:
-            return 0 if self.items else None
-        for idx, item in enumerate(self.items):
-            if get.filter(item):
-                return idx
-        return None
-
-
-class ContainerPut(Event):
-    """Triggers once the amount fits into the container."""
-
-    __slots__ = ("amount",)
-
-    def __init__(self, container: "Container", amount: float) -> None:
-        super().__init__(container.env)
-        self.amount = amount
-
-
-class ContainerGet(Event):
-    """Triggers once the amount is available to remove."""
-
-    __slots__ = ("amount",)
-
-    def __init__(self, container: "Container", amount: float) -> None:
-        super().__init__(container.env)
-        self.amount = amount
-
-
-class Container:
-    """A continuous quantity with a level between 0 and ``capacity``."""
-
-    def __init__(
-        self, env: "Environment", capacity: float = Infinity, init: float = 0.0
-    ) -> None:
-        if capacity <= 0:
-            raise ValueError("capacity must be positive")
-        if not 0 <= init <= capacity:
-            raise ValueError("init must lie within [0, capacity]")
-        self.env = env
-        self.capacity = capacity
-        self._level = init
-        self._putters: list[ContainerPut] = []
-        self._getters: list[ContainerGet] = []
-
-    @property
-    def level(self) -> float:
-        """Current amount in the container."""
-        return self._level
-
-    def put(self, amount: float) -> ContainerPut:
-        """Event triggering once ``amount`` has been added."""
-        if amount <= 0:
-            raise ValueError("amount must be positive")
-        ev = ContainerPut(self, amount)
-        self._putters.append(ev)
-        self._settle()
-        return ev
-
-    def get(self, amount: float) -> ContainerGet:
-        """Event triggering once ``amount`` has been removed."""
-        if amount <= 0:
-            raise ValueError("amount must be positive")
-        ev = ContainerGet(self, amount)
-        self._getters.append(ev)
-        self._settle()
-        return ev
-
-    def _settle(self) -> None:
-        progressed = True
-        while progressed:
-            progressed = False
-            if self._putters and self._level + self._putters[0].amount <= self.capacity:
-                put = self._putters.pop(0)
-                self._level += put.amount
-                put.succeed()
-                progressed = True
-            if self._getters and self._getters[0].amount <= self._level:
-                get = self._getters.pop(0)
-                self._level -= get.amount
-                get.succeed()
-                progressed = True

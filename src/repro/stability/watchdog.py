@@ -37,8 +37,9 @@ mode means) and is exempted without reading its (deliberately stale)
 lane counters.
 
 Overhead when armed: one Python call per cycle plus an
-O(in-flight-worms) sweep every ``check_every`` cycles;
-``benchmarks/bench_stability.py`` gates it at <= 5%.
+O(in-flight-worms) sweep every ``check_every`` cycles; the
+benchmark suite's ``ablation.watchdog`` rows (``benchmarks/suite``,
+``--trace``) measure it.
 """
 
 from __future__ import annotations

@@ -20,9 +20,11 @@ machine-checked, pre-flight gate:
   (raw ``random.*``, wall-clock time, float ``==`` on sim time,
   mutable default arguments, holds without a release path), run by
   ``tools/lint_sim.py`` and CI;
-* :mod:`repro.verify.sanitizer` -- an opt-in (``REPRO_SANITIZE=1``)
-  runtime sanitizer asserting flit conservation, buffer occupancy
-  bounds and acquire/release pairing every cycle;
+* :mod:`repro.wormhole.sanitizer` (re-exported here) -- an opt-in
+  (``REPRO_SANITIZE=1``) runtime sanitizer asserting flit
+  conservation, buffer occupancy bounds and acquire/release pairing
+  every cycle; it lives beside the engine so that building an engine
+  never imports this package (or networkx);
 * :mod:`repro.verify.negative` -- a deliberately *cyclic* routing
   variant the CDG verifier must reject (the checker's negative
   control).
@@ -61,7 +63,7 @@ from repro.verify.properties import (
     verify_config,
     verify_network,
 )
-from repro.verify.sanitizer import Sanitizer, SanitizerError, sanitize_enabled
+from repro.wormhole.sanitizer import Sanitizer, SanitizerError, sanitize_enabled
 
 __all__ = [
     "BrokenDatelineTorus",

@@ -32,16 +32,6 @@ PURITY_ALLOWLIST: Dict[str, str] = {
         "heartbeat only; it can abort a run with PointTimeout (no payload "
         "is produced) but never alters a completed measurement"
     ),
-    "repro.verify.sanitizer.check_interval": (
-        "reads REPRO_SANITIZE_EVERY to pace the opt-in invariant "
-        "checker; check frequency can only change how often assertions "
-        "run, never the simulated state they assert over"
-    ),
-    "repro.verify.sanitizer.sanitize_enabled": (
-        "reads REPRO_SANITIZE to decide whether to install check-only "
-        "invariant assertions; the differential suite proves sanitized "
-        "and unsanitized runs byte-identical"
-    ),
     "repro.wormhole.batch.BatchStream._mirror": (
         "constructs a numpy MT19937 without a seed, but its state is "
         "immediately overwritten with the seeded CPython generator "
@@ -56,18 +46,20 @@ PURITY_ALLOWLIST: Dict[str, str] = {
         "and within one run the bump sequence is a deterministic "
         "function of the seeded fault plan"
     ),
-    "repro.wormhole.engine._batch_vector_min": (
-        "reads REPRO_BATCH_VECTOR_MIN, the batch tier's vectorization "
-        "threshold; it only selects scalar vs vectorized execution of "
-        "the identical one-cycle advance plan (plan_moves is certified "
-        "equal to the scalar walk by tests/properties/test_batch_soa "
-        "and the differential suite pins the threshold adversarially), "
-        "so no value it returns can alter a payload"
-    ),
     "repro.wormhole.engine.resolve_engine": (
         "reads REPRO_ENGINE only when no explicit engine is passed; "
         "PointSpec.__post_init__ resolves the engine before hashing, so "
         "every cache key pins its engine, and the differential suite "
         "proves fast == reference bit-identical anyway"
+    ),
+    "repro.wormhole.sanitizer.check_interval": (
+        "reads REPRO_SANITIZE_EVERY to pace the opt-in invariant "
+        "checker; check frequency can only change how often assertions "
+        "run, never the simulated state they assert over"
+    ),
+    "repro.wormhole.sanitizer.sanitize_enabled": (
+        "reads REPRO_SANITIZE to decide whether to install check-only "
+        "invariant assertions; the differential suite proves sanitized "
+        "and unsanitized runs byte-identical"
     ),
 }

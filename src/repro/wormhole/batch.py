@@ -1,7 +1,7 @@
 """Struct-of-arrays kernel of the ``batch`` engine tier.
 
 The batch engine (``REPRO_ENGINE=batch`` / ``--engine=batch``) is the
-fast engine plus three numpy-backed accelerations, each proven
+fast engine plus two numpy-backed accelerations, each proven
 bit-identical by ``tests/differential`` and ``tests/properties``:
 
 * :class:`SoALedger` -- the free-run fast-forward schedule kept as
@@ -13,16 +13,6 @@ bit-identical by ``tests/differential`` and ``tests/properties``:
   one dict miss; the global next-due cycle (a lazily-cleaned key heap)
   is what lets the engine clock sleep across provably event-free cycle
   spans ("batched wake scheduling" -- ``WormholeEngine._span_cycles``).
-
-* :func:`plan_moves` -- Phase B advance of all unblocked moving worms
-  in one shot: per-worm lane state is packed into ``(worms, lanes)``
-  int arrays (``sent``/``buf`` counters, ownership bitmask, upstream
-  feed) and the reference sweep's sequential within-worm walk is
-  replayed as a short vectorized recurrence across the lane axis.
-  Worms coupled to other worms within the cycle (a foreign flit still
-  sitting in the head lane's buffer) are excluded and take the scalar
-  walk at their exact sweep position, so the interleaving of header
-  arrivals, releases and deliveries is unchanged.
 
 * :class:`BatchStream` -- the engine's :class:`RandomStream` served
   from a numpy ``MT19937`` mirror of the CPython generator state.
@@ -464,107 +454,3 @@ class SoALedger:
         self.count = 0
         self._due.clear()
         self._dheap.clear()
-
-
-# --------------------------------------------------------- vectorized step
-
-#: An "infinite" upstream feed (the source injects without bound).
-_SOURCE_FEED = 1 << 30
-
-
-def plan_moves(worms: list) -> list:
-    """One-cycle advance plan for a batch of independent moving worms.
-
-    ``worms`` is a list of ``(packet, s, n1)`` tuples: the owned-lane
-    suffix ``packet.lanes[s .. n1]`` of each worm, every channel
-    single-lane (worm mode).  The reference walk moves flits
-    downstream-first within each worm; because buffers are single-flit,
-    its sequential effect has the closed form
-
-        movable[0] = sent < len  and  feed > 0  and  (delivery or buf == 0)
-        movable[j] = sent < len  and  feed > 0  and  (buf == 0 or movable[j-1])
-
-    over start-of-cycle counters, which this function evaluates for all
-    worms at once: lane state is packed into ``(W, L)`` int arrays
-    (lane axis downstream-first, position 0 = head) and the recurrence
-    runs as one vector step per lane position.  Worms whose movement
-    could depend on *other* worms' moves this cycle (a foreign flit in
-    the head lane buffer -- the documented unstall exception) must not
-    be planned; the engine excludes them and walks them scalar.
-
-    Returns, per worm, ``(moved_any, mv, new_sent, new_buf, feed_take)``
-    where ``mv``/``new_sent``/``new_buf`` are per-owned-lane lists in
-    the same downstream-first order and ``feed_take`` is 1 when the
-    worm consumed a flit from the released lane just upstream of its
-    suffix (``lanes[s-1]``).  The engine applies the plan in the exact
-    reference order, so every observable side effect (header arrivals,
-    releases, deliveries, wakes) lands at its reference position.
-    """
-    require_numpy()
-    W = len(worms)
-    L = 0
-    for _, s, n1 in worms:
-        m = n1 - s + 1
-        if m > L:
-            L = m
-    sent = _np.zeros((W, L), _np.int64)
-    buf = _np.zeros((W, L), _np.int64)
-    feed = _np.zeros((W, L), _np.int64)
-    own = _np.zeros((W, L), bool)
-    length = _np.zeros(W, _np.int64)
-    isdlv = _np.zeros(W, bool)
-    for w, (p, s, n1) in enumerate(worms):
-        lanes = p.lanes
-        length[w] = p.length
-        isdlv[w] = lanes[n1].channel.is_delivery
-        m = n1 - s + 1
-        for j in range(m):
-            lane = lanes[n1 - j]
-            sent[w, j] = lane.sent
-            buf[w, j] = lane.buf
-            own[w, j] = True
-        # Upstream feed of lane position j is the buffer of the next
-        # lane up: positions 0..m-2 feed from within the suffix, the
-        # tail position from lanes[s-1] (released leftovers) or the
-        # source itself (s == 0: unbounded supply).
-        feed[w, : m - 1] = buf[w, 1:m]
-        feed[w, m - 1] = _SOURCE_FEED if s == 0 else lanes[s - 1].buf
-    lenb = length[:, None]
-    mv = _np.zeros((W, L), bool)
-    mv[:, 0] = (
-        own[:, 0]
-        & (sent[:, 0] < length)
-        & (feed[:, 0] > 0)
-        & (isdlv | (buf[:, 0] == 0))
-    )
-    for j in range(1, L):
-        mv[:, j] = (
-            own[:, j]
-            & (sent[:, j] < lenb[:, 0])
-            & (feed[:, j] > 0)
-            & ((buf[:, j] == 0) | mv[:, j - 1])
-        )
-    new_sent = sent + mv
-    # A lane's buffer loses one flit to the downstream move and gains
-    # one from its own (delivery lanes emit straight into the node).
-    new_buf = buf.copy()
-    new_buf[:, 1:] -= mv[:, :-1]
-    gain = mv.copy()
-    gain[:, 0] &= ~isdlv
-    new_buf += gain
-    plans = []
-    for w, (p, s, n1) in enumerate(worms):
-        m = n1 - s + 1
-        row = mv[w, :m]
-        moved = bool(row.any())
-        feed_take = int(row[m - 1]) if s else 0
-        plans.append(
-            (
-                moved,
-                row.tolist(),
-                new_sent[w, :m].tolist(),
-                new_buf[w, :m].tolist(),
-                feed_take,
-            )
-        )
-    return plans

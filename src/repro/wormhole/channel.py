@@ -28,7 +28,7 @@ if TYPE_CHECKING:  # pragma: no cover
 
 #: Optional observer invoked as ``release_observer(lane)`` just before a
 #: lane frees.  Installed by the opt-in runtime sanitizer
-#: (:mod:`repro.verify.sanitizer`, ``REPRO_SANITIZE=1``) to assert
+#: (:mod:`repro.wormhole.sanitizer`, ``REPRO_SANITIZE=1``) to assert
 #: acquire/release pairing; None (the default) costs one comparison.
 release_observer: Optional[Callable[["Lane"], None]] = None
 

@@ -30,7 +30,7 @@ from bisect import insort
 from collections import deque
 from dataclasses import dataclass, field
 from operator import attrgetter, itemgetter
-from typing import Callable, Optional
+from typing import Optional
 
 from repro.obs.bus import EventBus
 from repro.sim.core import Environment
@@ -39,6 +39,7 @@ from repro.wormhole import channel as channel_mod
 from repro.wormhole.channel import Lane, PhysChannel
 from repro.wormhole.network import SimNetwork
 from repro.wormhole.packet import Packet, PacketState
+from repro.wormhole.sanitizer import Sanitizer, sanitize_enabled
 
 #: Channel bandwidth in the paper's units; one cycle is 1/20 us.
 FLITS_PER_MICROSECOND = 20.0
@@ -47,9 +48,9 @@ FLITS_PER_MICROSECOND = 20.0
 #: implementation the differential suite certifies it against, and the
 #: numpy-backed batch tier (the fast path plus the SoA kernel of
 #: :mod:`repro.wormhole.batch`: span-skipping clock, SoA free-run
-#: ledger, vectorized multi-worm advance, mirrored RNG).  All three are
-#: bit-identical in every observable; batch requires the optional numpy
-#: dependency (``pip install repro[fast]``) and refuses cleanly without.
+#: ledger, mirrored RNG).  All three are bit-identical in every
+#: observable; batch requires the optional numpy dependency
+#: (``pip install repro[fast]``) and refuses cleanly without.
 ENGINE_KINDS = ("fast", "reference", "batch")
 
 #: Sort key for the fast path's active channel list.
@@ -70,21 +71,6 @@ _WORM_ORDER = attrgetter("_order")
 #: upstream buffer (0) and crosses a tail (1) or delivers (2) -- the
 #: reference sweep performs them in exactly that order within the move.
 _ACT_KEY = itemgetter(0, 1)
-
-
-def _batch_vector_min() -> int:
-    """Vectorization threshold of the batch tier.
-
-    ``REPRO_BATCH_VECTOR_MIN`` pins how many eligible moving worms it
-    takes before Phase B switches from the scalar walk to the
-    vectorized ``plan_moves`` (the property suite sets it to 1 to
-    force the vector path).  The threshold only selects *which
-    implementation executes the same one-cycle plan* -- the two are
-    certified equal by ``tests/properties/test_batch_soa.py`` and the
-    adversarial differential cases -- so the environment read is
-    result-neutral (see the purity allowlist).
-    """
-    return int(os.environ.get("REPRO_BATCH_VECTOR_MIN", "24"))
 
 
 def resolve_engine(engine: Optional[str] = None) -> str:
@@ -212,44 +198,34 @@ class WormholeEngine:
         rng: Optional[RandomStream] = None,
         record_deliveries: bool = True,
         sanitize: Optional[bool] = None,
-        fast: Optional[bool] = None,
-        batch: Optional[bool] = None,
+        engine: Optional[str] = None,
     ) -> None:
         self.env = env
         self.network = network
         self.rng = rng if rng is not None else RandomStream(0, name="engine")
         self.record_deliveries = record_deliveries
         self.stats = EngineStats()
-        #: ``fast`` True runs the optimized per-cycle phases (active
-        #: channel list, cached blocked headers); False the
-        #: straightforward reference phases.  ``batch`` layers the SoA
-        #: kernel of :mod:`repro.wormhole.batch` on the fast path (and
-        #: implies it).  All paths make bit-identical decisions -- see
-        #: ``tests/differential``.  None defers to ``REPRO_ENGINE``;
-        #: note an *explicit* ``fast`` pins the tier (the env var must
-        #: not silently upgrade a caller who asked for plain fast).
-        kind_env = resolve_engine() if (fast is None or batch is None) else None
-        if batch is None:
-            batch = (kind_env == "batch") if fast is None else False
-        if fast is None:
-            fast = kind_env != "reference"
-        if batch and not fast:
-            raise ValueError("batch implies the fast path (fast=False given)")
-        self.fast = fast
-        self.batch = batch
+        #: The engine tier (one of :data:`ENGINE_KINDS`; None defers to
+        #: ``REPRO_ENGINE``).  ``fast`` runs the optimized per-cycle
+        #: phases (active channel list, cached blocked headers), the
+        #: reference tier the straightforward phases, and ``batch``
+        #: layers the SoA kernel of :mod:`repro.wormhole.batch` on the
+        #: fast path.  All tiers make bit-identical decisions -- see
+        #: ``tests/differential``.
+        kind = resolve_engine(engine)
+        self.fast = kind != "reference"
+        self.batch = kind == "batch"
         #: Free-run ledger of the batch tier (replaces the ``_lazy``
-        #: dict buckets) plus its vectorized-advance threshold.
+        #: dict buckets).
         self._ledger = None
-        if batch:
+        if self.batch:
             from repro.wormhole import batch as batch_mod
 
             batch_mod.require_numpy()
-            self._batch_mod = batch_mod
             # Serve the engine's allocation stream from the mirrored
             # MT19937 (bit-identical draws, bulk-prefetched words).
             self.rng = batch_mod.BatchStream.adopt(self.rng)
             self._ledger = batch_mod.SoALedger()
-            self._vec_min = _batch_vector_min()
         #: Count of pending headers whose blocked-decision cache is
         #: valid at the current fault epoch.  When it covers the whole
         #: routing queue, Phase A's scan is provably a no-op beyond the
@@ -317,24 +293,17 @@ class WormholeEngine:
         #: explicit ``sanitize=True``); None costs nothing per cycle.
         self.sanitizer = None
         if sanitize is None:
-            from repro.verify.sanitizer import sanitize_enabled
-
             sanitize = sanitize_enabled()
         if sanitize:
-            from repro.verify.sanitizer import Sanitizer
-            from repro.wormhole import channel as _channel_mod
-
             self.sanitizer = Sanitizer(network)
             # Pairing checks hook the channel layer globally; the rule
             # is lane-local, so one observer serves any number of
             # engines.
-            _channel_mod.release_observer = self.sanitizer.on_release
+            channel_mod.release_observer = self.sanitizer.on_release
         #: The structured telemetry bus every state change publishes
         #: into (see :mod:`repro.obs.bus`).  With no sinks attached the
         #: hot path pays one hoisted flag read per cycle, nothing more.
         self.bus = EventBus()
-        #: Backing store of the :attr:`tracer` property.
-        self._tracer = None
         #: Cycles of zero progress (no flit moved, no lane granted,
         #: packets in flight) before :class:`DeadlockError` is raised.
         #: 0 disables the watchdog (the default: the paper's networks
@@ -352,13 +321,6 @@ class WormholeEngine:
         #: None costs one ``is`` test per cycle.
         self.watchdog = None
 
-        #: Observer hooks (e.g. :class:`repro.faults.recovery.SourceRetry`).
-        #: Each is a list of callables invoked with the packet; exceptions
-        #: propagate (observers must not fail).
-        self.on_packet_offered: list[Callable[[Packet], None]] = []
-        self.on_packet_delivered: list[Callable[[Packet], None]] = []
-        self.on_packet_failed: list[Callable[[Packet], None]] = []
-
         self.queues: list[deque[Packet]] = [deque() for _ in range(network.N)]
         #: Nodes with a non-empty queue (avoids scanning all N each cycle).
         self._backlogged: set[int] = set()
@@ -368,29 +330,6 @@ class WormholeEngine:
         self.cycles_run = 0
         self._clock_started = False
         self._wakeup = None  # event the idle clock sleeps on, if any
-
-    # -- telemetry ------------------------------------------------------------
-
-    @property
-    def tracer(self):
-        """Optional :class:`repro.wormhole.trace.Tracer`, bus-backed.
-
-        Assigning a tracer attaches it to :attr:`bus` (and detaches any
-        previous one); assigning None detaches.  Kept as a property for
-        source compatibility with pre-bus code that wrote
-        ``engine.tracer = Tracer()``.
-        """
-        return self._tracer
-
-    @tracer.setter
-    def tracer(self, tracer) -> None:
-        if tracer is self._tracer:
-            return
-        if self._tracer is not None:
-            self.bus.detach(self._tracer)
-        self._tracer = tracer
-        if tracer is not None:
-            self.bus.attach(tracer)
 
     # -- workload interface ---------------------------------------------------
 
@@ -411,10 +350,10 @@ class WormholeEngine:
         * ``"shed-oldest"`` -- the head of the source queue is shed to
           make room and the new message is admitted normally.
 
-        Shed packets are *not* failures: they never fire the failure
-        hooks or ``abort`` events (a recovery layer must not retry a
-        deliberate load-shedding drop); they publish the cold ``shed``
-        bus kind instead.
+        Shed packets are *not* failures: they never publish ``abort``
+        bus events (a recovery layer must not retry a deliberate
+        load-shedding drop); they publish the cold ``shed`` kind
+        instead.
         """
         adm = self.admission
         if adm is not None and len(self.queues[src]) >= adm.capacity:
@@ -461,8 +400,6 @@ class WormholeEngine:
             self.stats.max_queue_len = qlen
         if self.bus.enabled:
             self.bus.publish_offer(self.env.now, p)
-        for hook in self.on_packet_offered:
-            hook(p)
         return p
 
     @property
@@ -577,8 +514,6 @@ class WormholeEngine:
                         self.stats.failed_packets += 1
                         if bus.enabled:
                             bus.publish_abort(self.env.now, p)
-                        for hook in self.on_packet_failed:
-                            hook(p)
                     drained.append(node)
                     continue
                 lane = inj.lanes[0]
@@ -759,8 +694,6 @@ class WormholeEngine:
                         self.stats.failed_packets += 1
                         if bus.enabled:
                             bus.publish_abort(now, p)
-                        for hook in self.on_packet_failed:
-                            hook(p)
                     backlogged.discard(node)
                     continue
                 lane = inj.lanes[0]
@@ -1054,14 +987,6 @@ class WormholeEngine:
         ACTIVE = PacketState.ACTIVE
         lazy_ok = self.sanitizer is None
         progressed = False
-        # Batch tier, dense moving set: advance all independent worms
-        # in one vectorized plan (start-of-cycle state; see
-        # batch.plan_moves for the independence argument).  Each plan
-        # is applied at its worm's exact sweep position below, so the
-        # within-cycle event interleaving is untouched.
-        plans = None
-        if self._ledger is not None and len(moving) >= self._vec_min:
-            plans = self._plan_vector(moving)
         write = 0
         for p in moving:
             # Replay the scheduled free-run actions that the reference
@@ -1089,13 +1014,7 @@ class WormholeEngine:
             moved = False
             n1 = len(lanes) - 1
             head = lanes[n1]
-            if plans is not None and p.pid in plans:
-                result = self._apply_plan(p, plans[p.pid])
-                if result is None:
-                    progressed = True
-                    continue  # delivered and finalized
-                moved = result
-            elif head.owner is p:
+            if head.owner is p:
                 up = lanes[n1 - 1] if n1 else None
                 sent = head.sent
                 if sent < length and (up is None or up.buf):
@@ -1176,82 +1095,6 @@ class WormholeEngine:
             progressed = True  # free-running worms stream every cycle
         if progressed:
             self._progressed = True
-
-    def _plan_vector(self, moving: list) -> Optional[dict]:
-        """Plan the cycle's moves for every vector-eligible worm.
-
-        Eligible: ACTIVE, still owning its head lane, and *not* in the
-        foreign-flit window (head ``sent == 0`` with a non-empty
-        buffer), whose unstall couples it to another worm's move this
-        cycle -- those take the scalar walk at their sweep position.
-        Returns pid -> plan, or None when too few worms qualify to be
-        worth the array setup (the scalar walk handles any subset).
-        """
-        eligible = []
-        ACTIVE = PacketState.ACTIVE
-        for p in moving:
-            if p.state is not ACTIVE:
-                continue
-            lanes = p.lanes
-            n1 = len(lanes) - 1
-            head = lanes[n1]
-            if head.owner is not p or (head.sent == 0 and head.buf != 0):
-                continue
-            i = n1 - 1
-            while i >= 0 and lanes[i].owner is p:
-                i -= 1
-            eligible.append((p, i + 1, n1))
-        if len(eligible) < self._vec_min:
-            return None
-        plans = self._batch_mod.plan_moves(eligible)
-        return {t[0].pid: (t[1], t[2], plan) for t, plan in zip(eligible, plans)}
-
-    def _apply_plan(self, p: Packet, entry) -> Optional[bool]:
-        """Apply one worm's vectorized plan at its sweep position.
-
-        Replays exactly the side effects the scalar walk would emit, in
-        its order: the head first (arrival enqueue / delivery), then
-        body lanes downstream-first.  Returns whether the worm moved,
-        or None when it was delivered and finalized (drop it).
-        """
-        s, n1, (moved, mv, new_sent, new_buf, feed_take) = entry
-        lanes = p.lanes
-        length = p.length
-        if feed_take:
-            lanes[s - 1].buf -= 1
-        head = lanes[n1]
-        if mv[0]:
-            hs = new_sent[0]
-            head.sent = hs
-            if head.channel.is_delivery:
-                p.delivered_flits += 1
-                if hs == length:
-                    head.release()
-                    self._lane_freed(head.channel)
-                    self._finalize(p)
-                    return None
-            else:
-                head.buf = new_buf[0]
-                if hs == 1:
-                    # Header just reached the next switch input.
-                    p.needs_route = True
-                    self._pending_route.append(p)
-                if hs == length:
-                    head.release()
-                    self._lane_freed(head.channel)
-        m = n1 - s + 1
-        for j in range(1, m):
-            if not mv[j]:
-                lanes[n1 - j].buf = new_buf[j]
-                continue
-            lane = lanes[n1 - j]
-            sent = new_sent[j]
-            lane.sent = sent
-            lane.buf = new_buf[j]
-            if sent == length:
-                lane.release()
-                self._lane_freed(lane.channel)
-        return moved
 
     def _enter_lazy(self, p: Packet) -> bool:
         """Try to switch a delivery-phase worm to free-run fast-forward.
@@ -1475,8 +1318,9 @@ class WormholeEngine:
         A QUEUED packet is removed from its source queue; an ACTIVE worm
         is aborted exactly like one whose every next hop went faulty
         (flits flushed, lanes released).  Either way the packet ends
-        FAILED, counts in ``stats.failed_packets``, and the failure
-        hooks fire.  Delivered/failed packets raise ``ValueError``.
+        FAILED, counts in ``stats.failed_packets``, and an ``abort``
+        bus event is published.  Delivered/failed packets raise
+        ``ValueError``.
         """
         if p.state is PacketState.QUEUED:
             try:
@@ -1490,8 +1334,6 @@ class WormholeEngine:
             self.stats.failed_packets += 1
             if self.bus.enabled:
                 self.bus.publish_abort(self.env.now, p)
-            for hook in self.on_packet_failed:
-                hook(p)
             return
         if p.state is not PacketState.ACTIVE:
             raise ValueError(f"cannot abort {p!r} in state {p.state.value}")
@@ -1557,8 +1399,6 @@ class WormholeEngine:
         self.stats.failed_packets += 1
         if bus.enabled:
             bus.publish_abort(now, p)
-        for hook in self.on_packet_failed:
-            hook(p)
 
     def _finalize(self, p: Packet) -> None:
         p.state = PacketState.DELIVERED
@@ -1569,8 +1409,6 @@ class WormholeEngine:
         self.stats.delivered_flits += p.length
         if self.bus.enabled:
             self.bus.publish_deliver(self.env.now, p)
-        for hook in self.on_packet_delivered:
-            hook(p)
         if self.record_deliveries:
             assert p.inject_start is not None
             self.stats.records.append(

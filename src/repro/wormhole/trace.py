@@ -6,9 +6,10 @@ delivery or abort -- and render per-packet timelines.  Used by the
 debugging example and handy when studying *why* a configuration
 saturates (e.g. which channel a permutation's losers block on).
 
-    engine.tracer = Tracer()
+    tracer = Tracer()
+    engine.bus.attach(tracer)
     ...
-    print(engine.tracer.format_timeline(pid))
+    print(tracer.format_timeline(pid))
 """
 
 from __future__ import annotations

@@ -107,7 +107,7 @@ def test_fast_and_reference_exports_byte_identical(tmp_path: Path) -> None:
 
 def test_batch_and_fast_exports_byte_identical(tmp_path: Path) -> None:
     """REPRO_ENGINE=batch publishes the exact bytes of the fast tier:
-    the vectorized kernel is an execution detail, never a result
+    the SoA kernel is an execution detail, never a result
     change.  Skipped when numpy (the batch tier's optional extra) is
     absent."""
     from repro.wormhole.batch import numpy_available

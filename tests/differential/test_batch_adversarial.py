@@ -1,23 +1,17 @@
 """Adversarial mode-switch cases aimed at the batch tier's seams.
 
-The batch engine's speed comes from three mode switches the scalar
-tiers never make: the all-blocked exit (skip Phase A's scan), the
-span-sleep clock (skip whole cycles, deferring service-order shuffle
-draws as ``_shuffle_debt``), and the vectorized Phase B
-(``plan_moves`` over the SoA free-run ledger).  Every switch has an
+The batch engine's speed comes from mode switches the scalar tiers
+never make: the all-blocked exit (skip Phase A's scan), the span-sleep
+clock (skip whole cycles, deferring service-order shuffle draws as
+``_shuffle_debt``), and the SoA free-run ledger.  Every switch has an
 entry condition proven against engine state -- so the dangerous inputs
 are the ones that *invalidate* that state mid-flight: faults landing
 inside a burst, hard aborts while worms free-run, a governor
-rewriting injection rates under the vectorized path, and saturation
-workloads that thrash between quiet spans and contended scans every
-few cycles.
+rewriting injection rates, and saturation workloads that thrash
+between quiet spans and contended scans every few cycles.
 
 Each case runs the full three-tier comparison of
-:func:`tests.differential.harness.assert_identical`; the
-``REPRO_BATCH_VECTOR_MIN`` cases additionally pin the vectorization
-threshold to 1 so ``plan_moves`` engages even for tiny eligible sets
-(the default threshold of 24 would route short tests through the
-scalar fallback and leave the vector path untested).
+:func:`tests.differential.harness.assert_identical`.
 """
 
 from __future__ import annotations
@@ -65,24 +59,25 @@ def test_abort_during_free_run(kind, load):
 
 
 @pytest.mark.parametrize("kind", NETWORK_KINDS)
-def test_governor_throttle_on_vectorized_path(kind, monkeypatch):
-    """AIMD rate rewrites while Phase B runs vectorized: threshold
-    pinned to 1 so ``plan_moves`` handles every eligible set, and the
-    governor's same-cycle updates must stay commutative under it."""
-    monkeypatch.setenv("REPRO_BATCH_VECTOR_MIN", "1")
+def test_governor_throttle_on_batch_tier(kind):
+    """AIMD rate rewrites while the batch tier span-sleeps and
+    free-runs worms: the governor's same-cycle updates must land on
+    the same cycles as on the scalar tiers."""
     assert_identical(
         kind, "uniform", OVERLOAD, overload="shed-newest", governed=True
     )
 
 
 @pytest.mark.parametrize("kind", ("dmin", "tmin"))
-@pytest.mark.parametrize("vec_min", ("1", "4"))
-def test_forced_vector_with_faults(kind, vec_min, monkeypatch):
-    """Faults against the forced vector path: aborted ledger rows must
-    drop out of ``plan_moves`` eligibility on the exact cycle the
-    scalar tiers drop them."""
-    monkeypatch.setenv("REPRO_BATCH_VECTOR_MIN", vec_min)
-    assert_identical(kind, "uniform", 0.7, faults=True)
+@pytest.mark.parametrize("replica", (1, 4))
+def test_forced_vector_with_faults(kind, replica):
+    """Faults against the batch tier: aborted ledger rows must leave
+    the free-run schedule on the exact cycle the scalar tiers drop
+    their worms.  Replica ``r`` runs master seed ``CFG.seed + r - 1``,
+    so the same fault plan lands on two different traffic histories.
+    (The test name predates the batch tier's single Phase B path.)"""
+    run_cfg = CFG.with_seed(CFG.seed + replica - 1)
+    assert_identical(kind, "uniform", 0.7, faults=True, run_cfg=run_cfg)
 
 
 @pytest.mark.parametrize("kind", ("dmin", "vmin"))
@@ -110,9 +105,8 @@ def test_shuffle_pattern_faulted_sanitized(kind):
     assert_identical(kind, "shuffle", 0.6, faults=True, sanitize=True)
 
 
-def test_forced_vector_sanitized(monkeypatch):
-    """Vector path + sanitizer: the per-cycle invariant walk reads
-    ``_pending_route`` and lane state right after vectorized advances,
-    so any stale SoA mirror surfaces immediately."""
-    monkeypatch.setenv("REPRO_BATCH_VECTOR_MIN", "1")
+def test_batch_tier_sanitized():
+    """Batch tier + sanitizer: the per-cycle invariant walk reads
+    ``_pending_route`` and lane state after every advance, so any stale
+    SoA mirror surfaces immediately."""
     assert_identical("dmin", "uniform", 0.6, sanitize=True)

@@ -96,7 +96,7 @@ def _engine_run(kind: str, scheduler: str):
         env,
         network.build(),
         rng=root.fork(f"engine/{network.label}/{load}"),
-        fast=True,
+        engine="fast",
     )
     spec = WorkloadSpec(pattern="uniform")
     workload = spec.builder(CFG)(load)

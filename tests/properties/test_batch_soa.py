@@ -1,6 +1,6 @@
 """Property-based certification of the batch tier's SoA kernel.
 
-Three contracts back the batch engine's bit-identity claim
+Two contracts back the batch engine's bit-identity claim
 (:mod:`repro.wormhole.batch`), and each gets a randomized oracle here:
 
 * :class:`BatchStream` -- every public variate, drawn from the numpy
@@ -10,10 +10,6 @@ Three contracts back the batch engine's bit-identity claim
   :meth:`BatchStream.shuffle_k` (``k`` deferred service-order shuffles
   must consume exactly the words, and produce exactly the permutation,
   of ``k`` sequential ``shuffle`` calls);
-* :func:`plan_moves` -- the vectorized one-cycle advance plan must
-  equal an independent *sequential* walk of the reference semantics
-  (downstream-first flit movement over single-flit lane buffers,
-  mutating state as it goes) on every randomized worm suffix;
 * :class:`SoALedger` -- the action schedule expanded by :meth:`add`
   must match an independent reimplementation of the documented
   free-run schedule bucket for bucket (keys, tuples, and within-bucket
@@ -46,7 +42,6 @@ from repro.wormhole.batch import (  # noqa: E402
     FAR,
     BatchStream,
     SoALedger,
-    plan_moves,
 )
 
 # ------------------------------------------------------------ RNG mirror
@@ -166,7 +161,7 @@ def test_getrandbits_word_derivation(seed, ks):
         assert ref.getrandbits(k) == mir._getrandbits(k), k
 
 
-# ------------------------------------------------------- plan_moves oracle
+# ------------------------------------------------------- SoALedger oracle
 
 
 class _Chan:
@@ -193,96 +188,6 @@ class _Pkt:
         self.length = length
         self._lz_token = token
 
-
-#: One worm: (s, owned suffix length, message length, head delivers,
-#: per-lane (sent offset, buf) pairs).  Buffers are single-flit, so
-#: ``buf`` is 0 or 1; ``sent`` is clamped to the message length.
-_worm = st.tuples(
-    st.integers(0, 2),
-    st.integers(1, 6),
-    st.integers(1, 40),
-    st.booleans(),
-    st.lists(
-        st.tuples(st.integers(0, 40), st.integers(0, 1)),
-        min_size=9,
-        max_size=9,
-    ),
-)
-
-
-def _build_worm(spec):
-    s, m, length, is_delivery, lane_specs = spec
-    n1 = s + m - 1
-    lanes = []
-    for i in range(n1 + 1):
-        sent, buf = lane_specs[i]
-        chan = _Chan(i, is_delivery=is_delivery and i == n1)
-        lanes.append(_Lane(min(sent, length), buf, chan))
-    return _Pkt(lanes, length), s, n1
-
-
-def _scalar_cycle(p, s, n1):
-    """Independent oracle: the reference engine's downstream-first walk
-    over the owned suffix, moving real (mutable) flit counters.
-
-    A lane moves when it still has flits to send, its upstream feed
-    buffer holds a flit *right now*, and its own buffer can accept one
-    (head delivery lanes emit straight into the node).  Moves mutate
-    the buffers as they happen, which is exactly how an earlier
-    (downstream) move enables a later one within the same cycle.
-    """
-    m = n1 - s + 1
-    lanes = p.lanes
-    sent = [lanes[n1 - j].sent for j in range(m)]
-    buf = [lanes[n1 - j].buf for j in range(m)]
-    # Feed of the tail position: the released lane just upstream, or
-    # the source's unbounded supply when the suffix starts at the head
-    # of the path.
-    tail_feed = lanes[s - 1].buf if s else 1 << 30
-    isdlv = lanes[n1].channel.is_delivery
-    mv = [False] * m
-    feed_take = 0
-    for j in range(m):
-        if sent[j] >= p.length:
-            continue
-        feed = buf[j + 1] if j + 1 < m else tail_feed
-        if feed <= 0:
-            continue
-        if buf[j] != 0 and not (j == 0 and isdlv):
-            continue
-        mv[j] = True
-        sent[j] += 1
-        if j + 1 < m:
-            buf[j + 1] -= 1
-        else:
-            tail_feed -= 1
-            if s:
-                feed_take = 1
-        if not (j == 0 and isdlv):
-            buf[j] += 1
-    return any(mv), mv, sent, buf, feed_take
-
-
-@given(specs=st.lists(_worm, min_size=1, max_size=8))
-@settings(max_examples=200, deadline=None)
-def test_plan_moves_matches_scalar_walk(specs):
-    """The vectorized plan equals the sequential reference walk on
-    every worm of a random batch -- movement bits, new counters, and
-    the upstream feed consumption."""
-    worms = [_build_worm(spec) for spec in specs]
-    plans = plan_moves(worms)
-    assert len(plans) == len(worms)
-    for (p, s, n1), plan in zip(worms, plans):
-        moved, mv, new_sent, new_buf, feed_take = plan
-        o_moved, o_mv, o_sent, o_buf, o_take = _scalar_cycle(p, s, n1)
-        assert moved == o_moved
-        assert [bool(x) for x in mv] == o_mv
-        assert new_sent == o_sent
-        assert new_buf == o_buf
-        assert feed_take == o_take
-
-
-# -------------------------------------------------------- SoALedger oracle
 
 #: One free-run registration: (s, suffix length, entry cycle, slack).
 #: ``deliver`` is placed so every expanded action lands strictly after

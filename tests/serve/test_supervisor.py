@@ -112,6 +112,22 @@ def test_duplicate_keys_rejected():
         WorkerSupervisor(_echo_runner).run([("k", 1), ("k", 2)])
 
 
+def test_wind_down_never_waits_out_the_join_deadline():
+    """Every idle worker gets its own ``None`` sentinel at wind-down.
+
+    An idle worker may take any sentinel and exit at once.  Counting
+    the sentinels while that happens skips a worker now and then, and
+    the worker left without one blocks on the task queue until the
+    2 s join deadline kills it.  Many small jobs make the race show.
+    """
+    policy = SupervisePolicy(workers=4, retry=FAST_RETRY)
+    for job in range(25):
+        tasks = [(f"k{i}", {"value": i}) for i in range(4)]
+        report = WorkerSupervisor(_echo_runner, policy).run(tasks)
+        assert report.complete
+        assert report.elapsed_s < 1.5, f"job {job} took {report.elapsed_s:.2f}s"
+
+
 def test_on_result_called_per_settled_point():
     seen = {}
     sup = WorkerSupervisor(

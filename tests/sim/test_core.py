@@ -2,13 +2,7 @@
 
 import pytest
 
-from repro.sim import (
-    EmptySchedule,
-    Environment,
-    Interrupt,
-    ProcessCrash,
-    Timeout,
-)
+from repro.sim import EmptySchedule, Environment, ProcessCrash, Timeout
 
 
 def test_clock_starts_at_initial_time():
@@ -262,100 +256,6 @@ def test_process_is_alive_lifecycle():
     assert p.is_alive
     env.run()
     assert not p.is_alive
-
-
-def test_interrupt_delivers_cause():
-    env = Environment()
-    causes = []
-
-    def victim():
-        try:
-            yield env.timeout(100)
-        except Interrupt as i:
-            causes.append((env.now, i.cause))
-
-    def attacker(victim_proc):
-        yield env.timeout(3)
-        victim_proc.interrupt("stop it")
-
-    v = env.process(victim())
-    env.process(attacker(v))
-    env.run()
-    assert causes == [(3, "stop it")]
-
-
-def test_interrupted_process_can_keep_running():
-    env = Environment()
-    log = []
-
-    def victim():
-        try:
-            yield env.timeout(100)
-        except Interrupt:
-            pass
-        yield env.timeout(5)
-        log.append(env.now)
-
-    def attacker(vp):
-        yield env.timeout(1)
-        vp.interrupt()
-
-    env.process(attacker(env.process(victim())))
-    env.run()
-    assert log == [6]
-
-
-def test_interrupt_detaches_from_old_target():
-    """After an interrupt, the original timeout must not resume the process."""
-    env = Environment()
-    resumes = []
-
-    def victim():
-        try:
-            yield env.timeout(10)
-        except Interrupt:
-            resumes.append("interrupted")
-        yield env.timeout(100)
-        resumes.append("finished")
-
-    def attacker(vp):
-        yield env.timeout(1)
-        vp.interrupt()
-
-    env.process(attacker(env.process(victim())))
-    env.run()
-    # Exactly one interrupt and one finish; the orphaned timeout at t=10
-    # must not cause a duplicate resume.
-    assert resumes == ["interrupted", "finished"]
-
-
-def test_interrupt_dead_process_rejected():
-    env = Environment()
-
-    def quick():
-        yield env.timeout(0)
-
-    p = env.process(quick())
-    env.run()
-    with pytest.raises(RuntimeError):
-        p.interrupt()
-
-
-def test_self_interrupt_rejected():
-    env = Environment()
-    errors = []
-
-    def proc(handle):
-        try:
-            handle[0].interrupt()
-        except RuntimeError as exc:
-            errors.append(exc)
-        yield env.timeout(0)
-
-    handle = []
-    handle.append(env.process(proc(handle)))
-    env.run()
-    assert len(errors) == 1
 
 
 def test_timeout_carries_value():

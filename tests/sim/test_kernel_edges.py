@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.sim import AllOf, AnyOf, Environment, Event, ProcessCrash
+from repro.sim import Environment, Event, ProcessCrash
 
 
 def test_event_trigger_copies_state():
@@ -77,21 +77,6 @@ def test_waiting_on_already_failed_event_raises_in_process():
     env.process(proc())
     env.run()
     assert caught == [True]
-
-
-def test_condition_of_conditions():
-    env = Environment()
-    got = []
-
-    def proc():
-        inner_a = AllOf(env, [env.timeout(1), env.timeout(2)])
-        inner_b = AnyOf(env, [env.timeout(10), env.timeout(3)])
-        yield AllOf(env, [inner_a, inner_b])
-        got.append(env.now)
-
-    env.process(proc())
-    env.run()
-    assert got == [3]
 
 
 def test_crash_propagates_original_exception_as_cause():

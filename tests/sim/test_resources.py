@@ -1,11 +1,8 @@
-"""Tests for Resource / PriorityResource / Store / Container."""
+"""Tests for Resource, the kernel's shared-resource primitive."""
 
 import pytest
 
-from repro.sim import Container, Environment, PriorityResource, Resource, Store
-
-
-# ---------------------------------------------------------------- Resource
+from repro.sim import Environment, Resource
 
 
 def test_resource_grants_up_to_capacity():
@@ -90,200 +87,3 @@ def test_resource_fifo_fairness():
         env.process(user(tag))
     env.run()
     assert order == [0, 1, 2, 3, 4]
-
-
-# -------------------------------------------------------- PriorityResource
-
-
-def test_priority_resource_orders_waiters():
-    env = Environment()
-    res = PriorityResource(env, capacity=1)
-    order = []
-
-    def user(tag, prio, start):
-        yield env.timeout(start)
-        req = res.request(priority=prio)
-        yield req
-        order.append(tag)
-        yield env.timeout(10)
-        res.release(req)
-
-    env.process(user("first", 5, 0))    # holds the slot
-    env.process(user("low", 9, 1))      # queued
-    env.process(user("high", 1, 2))     # queued later but higher priority
-    env.run()
-    assert order == ["first", "high", "low"]
-
-
-def test_priority_resource_ties_broken_fifo():
-    env = Environment()
-    res = PriorityResource(env, capacity=1)
-    hold = res.request(priority=0)
-    a = res.request(priority=3)
-    b = res.request(priority=3)
-    res.release(hold)
-    assert a.triggered and not b.triggered
-
-
-def test_priority_resource_cancel():
-    env = Environment()
-    res = PriorityResource(env, capacity=1)
-    hold = res.request(priority=0)
-    a = res.request(priority=1)
-    a.cancel()
-    b = res.request(priority=2)
-    res.release(hold)
-    assert not a.triggered and b.triggered
-
-
-# -------------------------------------------------------------------- Store
-
-
-def test_store_put_then_get():
-    env = Environment()
-    store = Store(env)
-    store.put("x")
-    got = store.get()
-    assert got.triggered and got.value == "x"
-
-
-def test_store_get_blocks_until_put():
-    env = Environment()
-    store = Store(env)
-    got = []
-
-    def consumer():
-        item = yield store.get()
-        got.append((env.now, item))
-
-    def producer():
-        yield env.timeout(4)
-        yield store.put("late")
-
-    env.process(consumer())
-    env.process(producer())
-    env.run()
-    assert got == [(4, "late")]
-
-
-def test_store_is_fifo():
-    env = Environment()
-    store = Store(env)
-    for i in range(3):
-        store.put(i)
-    assert [store.get().value for _ in range(3)] == [0, 1, 2]
-
-
-def test_store_capacity_blocks_put():
-    env = Environment()
-    store = Store(env, capacity=1)
-    p1 = store.put("a")
-    p2 = store.put("b")
-    assert p1.triggered and not p2.triggered
-    g = store.get()
-    assert g.value == "a"
-    assert p2.triggered
-    assert store.items == ["b"]
-
-
-def test_store_filtered_get():
-    env = Environment()
-    store = Store(env)
-    store.put(1)
-    store.put(2)
-    store.put(3)
-    g = store.get(filter=lambda x: x % 2 == 0)
-    assert g.value == 2
-    assert store.items == [1, 3]
-
-
-def test_store_filtered_get_waits_for_match():
-    env = Environment()
-    store = Store(env)
-    store.put("nope")
-    matched = []
-
-    def consumer():
-        item = yield store.get(filter=lambda x: x == "yes")
-        matched.append((env.now, item))
-
-    def producer():
-        yield env.timeout(2)
-        yield store.put("yes")
-
-    env.process(consumer())
-    env.process(producer())
-    env.run()
-    assert matched == [(2, "yes")]
-    assert store.items == ["nope"]
-
-
-def test_store_len():
-    env = Environment()
-    store = Store(env)
-    store.put("a")
-    store.put("b")
-    assert len(store) == 2
-
-
-def test_store_capacity_validation():
-    env = Environment()
-    with pytest.raises(ValueError):
-        Store(env, capacity=0)
-
-
-# ---------------------------------------------------------------- Container
-
-
-def test_container_levels():
-    env = Environment()
-    c = Container(env, capacity=10, init=5)
-    assert c.level == 5
-    c.put(3)
-    assert c.level == 8
-    c.get(6)
-    assert c.level == 2
-
-
-def test_container_get_blocks_until_enough():
-    env = Environment()
-    c = Container(env, capacity=100, init=0)
-    got = []
-
-    def consumer():
-        yield c.get(10)
-        got.append(env.now)
-
-    def producer():
-        for _ in range(2):
-            yield env.timeout(3)
-            yield c.put(5)
-
-    env.process(consumer())
-    env.process(producer())
-    env.run()
-    assert got == [6]
-    assert c.level == 0
-
-
-def test_container_put_blocks_at_capacity():
-    env = Environment()
-    c = Container(env, capacity=10, init=9)
-    p = c.put(5)
-    assert not p.triggered
-    c.get(4)
-    assert p.triggered
-    assert c.level == 10
-
-
-def test_container_validation():
-    env = Environment()
-    with pytest.raises(ValueError):
-        Container(env, capacity=0)
-    with pytest.raises(ValueError):
-        Container(env, capacity=5, init=6)
-    c = Container(env, capacity=5)
-    with pytest.raises(ValueError):
-        c.put(0)
-    with pytest.raises(ValueError):
-        c.get(-1)

@@ -102,7 +102,8 @@ def test_bmin_cluster_traffic_never_leaves_subtrees():
     acquires a top-boundary channel (locality observed, not assumed)."""
     env = Environment()
     eng = WormholeEngine(env, build_network("bmin", 4, 3), rng=RandomStream(5))
-    eng.tracer = Tracer()
+    tracer = Tracer()
+    eng.bus.attach(tracer)
     wl = Workload(
         cluster_16("cube"),
         UniformPattern,
@@ -114,7 +115,7 @@ def test_bmin_cluster_traffic_never_leaves_subtrees():
     env.run(until=3000)
     assert eng.stats.delivered_packets > 100
     acquired = [
-        e.detail for e in eng.tracer.events if e.kind == "acquired"
+        e.detail for e in tracer.events if e.kind == "acquired"
     ]
     assert acquired
     # Boundary-2 channels (fwd2/bwd2) belong to the top of the tree.
@@ -124,7 +125,8 @@ def test_bmin_cluster_traffic_never_leaves_subtrees():
 def test_global_traffic_does_use_the_top():
     env = Environment()
     eng = WormholeEngine(env, build_network("bmin", 4, 3), rng=RandomStream(5))
-    eng.tracer = Tracer()
+    tracer = Tracer()
+    eng.bus.attach(tracer)
     wl = Workload(
         global_cluster(),
         UniformPattern,
@@ -134,7 +136,7 @@ def test_global_traffic_does_use_the_top():
     wl.install(env, eng, RandomStream(6))
     eng.start()
     env.run(until=2000)
-    acquired = [e.detail for e in eng.tracer.events if e.kind == "acquired"]
+    acquired = [e.detail for e in tracer.events if e.kind == "acquired"]
     assert any(d.startswith("fwd2") for d in acquired)
 
 

@@ -25,6 +25,7 @@ def test_strict_perimeter_is_declared():
     cfg = mypy_config()
     assert cfg["strict"] is True
     assert set(cfg["packages"]) == STRICT_PACKAGES
+    assert cfg["modules"] == ["repro.wormhole.sanitizer"]
     assert cfg["mypy_path"] == "src"
 
 

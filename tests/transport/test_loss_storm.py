@@ -47,8 +47,7 @@ def run_storm(kind: str, engine: str = "fast", seed: int = 17):
         env,
         network.build(),
         rng=root.fork("engine"),
-        fast=engine != "reference",
-        batch=engine == "batch",
+        engine=engine,
     )
     BoundedQueue(capacity=8, mode=SHED_NEWEST).install(eng)
     MTBFChurn(

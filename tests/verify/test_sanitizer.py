@@ -1,14 +1,21 @@
 """Runtime sanitizer: clean runs pass, corrupted state is caught."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
 from repro.sim import Environment, ProcessCrash
 from repro.sim.rng import RandomStream
 from repro.verify import Sanitizer, SanitizerError, sanitize_enabled
-from repro.verify.sanitizer import check_interval
 from repro.wormhole import WormholeEngine, build_network
 from repro.wormhole import channel as channel_mod
 from repro.wormhole.packet import PacketState
+from repro.wormhole.sanitizer import check_interval
+
+SRC = Path(__file__).resolve().parents[2] / "src"
 
 
 @pytest.fixture(autouse=True)
@@ -61,6 +68,25 @@ def test_engine_on_via_env(monkeypatch):
     monkeypatch.setenv("REPRO_SANITIZE", "1")
     _, eng = make_engine(sanitize=None)
     assert isinstance(eng.sanitizer, Sanitizer)
+
+
+def test_unsanitized_engine_imports_no_verifier():
+    """With sanitizing off, building an engine imports neither
+    ``repro.verify`` nor networkx (a fresh process proves it)."""
+    code = (
+        "import sys\n"
+        "from repro.sim import Environment\n"
+        "from repro.wormhole import WormholeEngine, build_network\n"
+        "WormholeEngine(Environment(), build_network('dmin', 2, 3))\n"
+        "assert 'networkx' not in sys.modules, 'networkx imported'\n"
+        "assert 'repro.verify' not in sys.modules, 'repro.verify imported'\n"
+    )
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    env.pop("REPRO_SANITIZE", None)
+    proc = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True
+    )
+    assert proc.returncode == 0, proc.stderr
 
 
 # ---------------------------------------------------------- clean runs

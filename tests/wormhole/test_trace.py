@@ -6,18 +6,20 @@ from repro.wormhole import WormholeEngine, build_network
 from repro.wormhole.trace import TraceEvent, Tracer
 
 
-def _traced_engine(kind="tmin", seed=0):
+def _traced_engine(kind="tmin", seed=0, tracer=None):
     env = Environment()
     eng = WormholeEngine(env, build_network(kind, 2, 3), rng=RandomStream(seed))
-    eng.tracer = Tracer()
-    return env, eng
+    if tracer is None:
+        tracer = Tracer()
+    eng.bus.attach(tracer)
+    return env, eng, tracer
 
 
 def test_single_packet_event_sequence():
-    env, eng = _traced_engine()
+    env, eng, tracer = _traced_engine()
     p = eng.offer(1, 6, 8)
     eng.drain()
-    kinds = [e.kind for e in eng.tracer.packet_timeline(p.pid)]
+    kinds = [e.kind for e in tracer.packet_timeline(p.pid)]
     assert kinds[0] == "offered"
     assert kinds[1] == "injected"
     assert kinds[-1] == "delivered"
@@ -27,22 +29,22 @@ def test_single_packet_event_sequence():
 
 
 def test_acquired_events_name_the_channels():
-    env, eng = _traced_engine()
+    env, eng, tracer = _traced_engine()
     p = eng.offer(1, 6, 8)
     eng.drain()
     acquired = [
-        e.detail for e in eng.tracer.packet_timeline(p.pid) if e.kind == "acquired"
+        e.detail for e in tracer.packet_timeline(p.pid) if e.kind == "acquired"
     ]
     assert acquired[0].startswith("inj[")
     assert acquired[-1].startswith("dlv[")
 
 
 def test_blocked_event_on_contention_with_dedup():
-    env, eng = _traced_engine()
+    env, eng, tracer = _traced_engine()
     a = eng.offer(0, 7, 60)
     b = eng.offer(1, 7, 60)  # same destination: one of them must stall
     eng.drain()
-    blocked = [e for e in eng.tracer.events if e.kind == "blocked"]
+    blocked = [e for e in tracer.events if e.kind == "blocked"]
     assert blocked, "two worms to one node must produce a blocking spell"
     # The loser waited for tens of cycles, yet each spell is one event.
     loser_events = [e for e in blocked if e.pid in (a.pid, b.pid)]
@@ -52,43 +54,43 @@ def test_blocked_event_on_contention_with_dedup():
 
 
 def test_vc_lane_named_in_acquisition():
-    env, eng = _traced_engine("vmin")
+    env, eng, tracer = _traced_engine("vmin")
     eng.offer(0, 7, 30)
     p = eng.offer(1, 7, 30)  # second VC of the shared delivery wire
     eng.drain()
     acquired = [
-        e.detail for e in eng.tracer.packet_timeline(p.pid) if e.kind == "acquired"
+        e.detail for e in tracer.packet_timeline(p.pid) if e.kind == "acquired"
     ]
     assert any(".vc" in d for d in acquired)
 
 
 def test_abort_event_recorded():
-    env, eng = _traced_engine()
+    env, eng, tracer = _traced_engine()
     boundary, pos = eng.network.spec.channels_of_path(1, 6)[2]
     eng.network.slots[(boundary, pos)][0].fail()
     p = eng.offer(1, 6, 8)
     eng.drain()
-    kinds = [e.kind for e in eng.tracer.packet_timeline(p.pid)]
+    kinds = [e.kind for e in tracer.packet_timeline(p.pid)]
     assert kinds[-1] == "failed"
 
 
 def test_format_timeline():
-    env, eng = _traced_engine()
+    env, eng, tracer = _traced_engine()
     p = eng.offer(1, 6, 8)
     eng.drain()
-    text = eng.tracer.format_timeline(p.pid)
+    text = tracer.format_timeline(p.pid)
     assert text.startswith(f"packet #{p.pid}:")
     assert "delivered" in text
-    assert eng.tracer.format_timeline(999).endswith("no events recorded")
+    assert tracer.format_timeline(999).endswith("no events recorded")
 
 
 def test_blocking_hotspots():
-    env, eng = _traced_engine()
+    env, eng, tracer = _traced_engine()
     eng.offer(0, 7, 80)
     for s in (1, 2, 3):
         eng.offer(s, 7, 10)
     eng.drain()
-    hotspots = eng.tracer.blocking_hotspots()
+    hotspots = tracer.blocking_hotspots()
     assert hotspots
     label, count = hotspots[0]
     assert count >= 1
@@ -99,8 +101,7 @@ def test_blocking_hotspots():
 
 def test_max_events_cap_evicts_whole_old_packets():
     tracer = Tracer(max_events=8)
-    env, eng = _traced_engine()
-    eng.tracer = tracer
+    env, eng, _ = _traced_engine(tracer=tracer)
     first = eng.offer(1, 6, 8)
     eng.drain()
     second = eng.offer(2, 5, 8)
@@ -118,8 +119,7 @@ def test_max_events_cap_evicts_whole_old_packets():
 
 def test_per_packet_ring_keeps_newest_events():
     tracer = Tracer(per_packet=3)
-    env, eng = _traced_engine()
-    eng.tracer = tracer
+    env, eng, _ = _traced_engine(tracer=tracer)
     p = eng.offer(1, 6, 8)
     eng.drain()
     timeline = tracer.packet_timeline(p.pid)
@@ -132,8 +132,7 @@ def test_per_packet_ring_keeps_newest_events():
 def test_newest_packet_never_evicted():
     # Cap smaller than one timeline: the sole live packet survives.
     tracer = Tracer(max_events=2, per_packet=256)
-    env, eng = _traced_engine()
-    eng.tracer = tracer
+    env, eng, _ = _traced_engine(tracer=tracer)
     p = eng.offer(1, 6, 8)
     eng.drain()
     kinds = [e.kind for e in tracer.packet_timeline(p.pid)]
@@ -142,10 +141,9 @@ def test_newest_packet_never_evicted():
 
 
 def test_untruncated_tracer_reports_clean():
-    env, eng = _traced_engine()
+    env, eng, t = _traced_engine()
     eng.offer(1, 6, 8)
     eng.drain()
-    t = eng.tracer
     assert not t.truncated
     assert t.dropped_events == 0 and t.evicted_packets == 0
     # events is a flat, record-ordered view across packets
@@ -156,7 +154,7 @@ def test_untruncated_tracer_reports_clean():
 def test_tracer_off_by_default_costs_nothing():
     env = Environment()
     eng = WormholeEngine(env, build_network("tmin", 2, 3), rng=RandomStream(0))
-    assert eng.tracer is None
+    assert eng.bus.subscriber_count() == 0
     eng.offer(1, 6, 8)
     eng.drain()
     assert eng.stats.delivered_packets == 1
@@ -176,7 +174,7 @@ def test_traced_run_matches_untraced():
             env, build_network("dmin", 2, 3), rng=RandomStream(5)
         )
         if traced:
-            eng.tracer = Tracer()
+            eng.bus.attach(Tracer())
         rs = RandomStream(6)
         pkts = []
         for _ in range(30):
