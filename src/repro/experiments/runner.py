@@ -34,9 +34,10 @@ def build_point(
     """Construct the (env, engine, root RNG) triple of one point.
 
     ``engine`` selects the execution path -- ``"fast"`` pairs the
-    calendar scheduler with the optimized engine phases, ``"batch"``
-    adds the numpy SoA kernel on top (needs the ``repro[fast]``
-    extra), ``"reference"`` the plain heap with the reference phases,
+    calendar scheduler with the optimized engine phases and span-sleep
+    clock, ``"batch"`` adds the numpy-mirrored allocation RNG (needs
+    the ``repro[fast]`` extra), ``"reference"`` the plain heap with
+    the reference phases,
     and None defers to ``REPRO_ENGINE`` (default fast).  The choice
     never changes results (``tests/differential``), only wall-clock
     cost.

@@ -11,7 +11,9 @@ counters (plain integer increments, no branches):
 around an observation window and derives the roofline numbers the
 ROADMAP's "as fast as the hardware allows" push needs: events/s,
 cycles/s, and **wall-microseconds per simulated microsecond** (the
-slowdown factor vs. the modelled hardware).
+slowdown factor vs. the modelled hardware).  It also reports how many
+cycles the engine's span-sleep clock credited without executing them
+(``cycles_skipped``, ``span_skip_ratio``).
 
 This is measurement of the *simulator*, not the simulated network --
 the wall-clock reads are confined to this module and are exempt from
@@ -40,11 +42,13 @@ class KernelProfiler:
         self._t0_scheduled = 0
         self._t0_fired = 0
         self._t0_cycles = 0
+        self._t0_skipped = 0
         self._wall: Optional[float] = None
         self._sim: Optional[float] = None
         self._scheduled: Optional[int] = None
         self._fired: Optional[int] = None
         self._cycles: Optional[int] = None
+        self._skipped: Optional[int] = None
 
     # -- lifecycle ---------------------------------------------------------
 
@@ -57,6 +61,7 @@ class KernelProfiler:
         self._t0_scheduled = env.events_scheduled
         self._t0_fired = env.events_fired
         self._t0_cycles = engine.cycles_run
+        self._t0_skipped = engine.cycles_skipped
         return self
 
     def finish(self) -> "KernelProfiler":
@@ -70,6 +75,7 @@ class KernelProfiler:
         self._scheduled = env.events_scheduled - self._t0_scheduled
         self._fired = env.events_fired - self._t0_fired
         self._cycles = self.engine.cycles_run - self._t0_cycles
+        self._skipped = self.engine.cycles_skipped - self._t0_skipped
         return self
 
     # -- live reads (finish() freezes them) --------------------------------
@@ -109,6 +115,14 @@ class KernelProfiler:
         return self.engine.cycles_run - self._t0_cycles
 
     @property
+    def cycles_skipped(self) -> int:
+        """Cycles the span-sleep clock credited without a tick."""
+        if self._skipped is not None:
+            return self._skipped
+        assert self.engine is not None
+        return self.engine.cycles_skipped - self._t0_skipped
+
+    @property
     def max_heap_depth(self) -> int:
         """High-water mark of the event heap (whole run, not a delta)."""
         assert self.engine is not None
@@ -132,6 +146,12 @@ class KernelProfiler:
         return self.cycles_run / wall if wall > 0 else 0.0
 
     @property
+    def span_skip_ratio(self) -> float:
+        """Share of the window's cycles that were never executed."""
+        cycles = self.cycles_run
+        return self.cycles_skipped / cycles if cycles else 0.0
+
+    @property
     def wall_us_per_sim_us(self) -> float:
         """Slowdown factor: wall microseconds spent per simulated us."""
         sim_us = self.sim_microseconds
@@ -143,6 +163,8 @@ class KernelProfiler:
         return {
             "wall_seconds": self.wall_seconds,
             "sim_cycles": self.cycles_run,
+            "cycles_skipped": self.cycles_skipped,
+            "span_skip_ratio": self.span_skip_ratio,
             "sim_microseconds": self.sim_microseconds,
             "events_scheduled": self.events_scheduled,
             "events_fired": self.events_fired,
@@ -158,6 +180,8 @@ class KernelProfiler:
             f"  wall time          {self.wall_seconds:12.3f} s\n"
             f"  sim time           {self.sim_microseconds:12.1f} us "
             f"({self.cycles_run} cycles)\n"
+            f"  cycles skipped     {self.cycles_skipped:12d} "
+            f"({self.span_skip_ratio:.1%} span sleep)\n"
             f"  events scheduled   {self.events_scheduled:12d}\n"
             f"  events fired       {self.events_fired:12d} "
             f"({self.events_per_second:,.0f}/s)\n"

@@ -77,6 +77,17 @@ class RandomStream:
         """In-place Fisher–Yates shuffle."""
         self._rng.shuffle(seq)
 
+    def shuffle_k(self, seq: list, k: int) -> None:
+        """``k`` successive :meth:`shuffle` passes over ``seq``.
+
+        Replays deferred service-order shuffles (see
+        ``WormholeEngine._flush_shuffles``): the same permutation and
+        the same draws as ``k`` separate calls.
+        """
+        shuffle = self._rng.shuffle
+        for _ in range(k):
+            shuffle(seq)
+
     def bimodal_int(
         self, low: int, high: int, short_fraction: float, split: int
     ) -> int:

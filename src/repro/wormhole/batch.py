@@ -1,27 +1,16 @@
-"""Struct-of-arrays kernel of the ``batch`` engine tier.
+"""Mirrored allocation RNG of the ``batch`` engine tier.
 
 The batch engine (``REPRO_ENGINE=batch`` / ``--engine=batch``) is the
-fast engine plus two numpy-backed accelerations, each proven
+default ``fast`` engine with one numpy-backed acceleration, proven
 bit-identical by ``tests/differential`` and ``tests/properties``:
-
-* :class:`SoALedger` -- the free-run fast-forward schedule kept as
-  struct-of-arrays numpy state instead of per-cycle dict buckets: one
-  slot per free-running worm holding its entry cycle, head/tail lane
-  indices, entry ``sent`` counter, delivery cycle (= remaining-flit
-  count relative to the current cycle) and next-event cycle, plus a
-  live bitmask.  A due-cycle index over the slots makes a quiet cycle
-  one dict miss; the global next-due cycle (a lazily-cleaned key heap)
-  is what lets the engine clock sleep across provably event-free cycle
-  spans ("batched wake scheduling" -- ``WormholeEngine._span_cycles``).
-
-* :class:`BatchStream` -- the engine's :class:`RandomStream` served
-  from a numpy ``MT19937`` mirror of the CPython generator state.
-  ``random_raw`` yields exactly the tempered 32-bit words CPython's
-  ``genrand_uint32`` would produce, so every variate (Fisher-Yates
-  shuffle draws, lane choices, floats) is reconstructed bit-identically
-  from bulk-prefetched words -- same stream, a fraction of the per-draw
-  cost.  ``tests/properties/test_batch_soa.py`` cross-checks every
-  method against the stdlib generator draw by draw.
+:class:`BatchStream` -- the engine's :class:`RandomStream` served from
+a numpy ``MT19937`` mirror of the CPython generator state.
+``random_raw`` yields exactly the tempered 32-bit words CPython's
+``genrand_uint32`` would produce, so every variate (Fisher-Yates
+shuffle draws, lane choices, floats) is reconstructed bit-identically
+from bulk-prefetched words -- same stream, a fraction of the per-draw
+cost.  ``tests/properties/test_batch_soa.py`` cross-checks every
+method against the stdlib generator draw by draw.
 
 numpy is an *optional* dependency (``pip install repro[fast]``): this
 module imports with numpy absent, :func:`require_numpy` raises a clean
@@ -31,7 +20,6 @@ tests skip themselves).
 
 from __future__ import annotations
 
-import heapq
 from typing import Optional
 
 from repro.sim.rng import RandomStream
@@ -40,9 +28,6 @@ try:  # pragma: no cover - exercised via the no-numpy smoke test
     import numpy as _np
 except ImportError:  # pragma: no cover
     _np = None
-
-#: Sentinel "no event scheduled" cycle (far beyond any simulation).
-FAR = 1 << 62
 
 
 def numpy_available() -> bool:
@@ -58,9 +43,6 @@ def require_numpy() -> None:
             "install the optional extra (`pip install repro[fast]`) or "
             "select another tier (REPRO_ENGINE=fast / --engine=fast)"
         )
-
-
-# --------------------------------------------------------------- RNG mirror
 
 
 class BatchStream(RandomStream):
@@ -271,186 +253,3 @@ class BatchStream(RandomStream):
 
     def __repr__(self) -> str:
         return f"<BatchStream {self.name!r} seed={self.seed}>"
-
-
-# ----------------------------------------------------------- free-run SoA
-
-
-class SoALedger:
-    """SoA schedule of free-running (delivery-phase) worms.
-
-    One slot per worm that entered free-run streaming (see
-    ``WormholeEngine._enter_lazy``): numpy int64 columns hold the entry
-    cycle (``base``), the entry head ``sent`` snapshot (``sent0``), the
-    first-owned/tail and head lane indices (``s``/``n1``) and the
-    delivery cycle (``deliver`` -- the worm's remaining-flit count is
-    simply ``deliver - cycle``); ``live`` is the slot bitmask.  The
-    columns are what the bulk materializer and the property suite's
-    round-trip oracle read, and they fully determine the worm's future.
-
-    The worm's observable events -- an optional upstream-buffer drain
-    at ``base + 1`` (when ``s > 0``), a contiguous burst of tail
-    releases and buffer drains over ``[deliver - (n1 - s), deliver]``,
-    and the delivery itself -- are expanded *once* at :meth:`add` into
-    per-cycle due buckets, in exactly the tuple format and insertion
-    order of the fast path's dict-bucket ledger (so within-cycle tie
-    order under the engine's stable topo sort is identical by
-    construction).  A due cycle is then one dict pop and a quiet cycle
-    one integer compare; a min-heap of bucket keys backs
-    :meth:`next_due`, the clock's span-sleep horizon.
-
-    Removal (delivery, abort, mode-switch materialization) only frees
-    the slot: stale scheduled actions are cancelled by the engine's
-    per-worm token bump, exactly as on the fast path, and stale bucket
-    keys can only make :meth:`next_due` stale *low* -- a shorter span
-    or an empty visit, never skipped work.
-    """
-
-    def __init__(self, capacity: int = 64) -> None:
-        require_numpy()
-        self._cap = capacity
-        self.base = _np.zeros(capacity, _np.int64)
-        self.sent0 = _np.zeros(capacity, _np.int64)
-        self.s = _np.zeros(capacity, _np.int64)
-        self.n1 = _np.zeros(capacity, _np.int64)
-        self.deliver = _np.zeros(capacity, _np.int64)
-        self.live = _np.zeros(capacity, bool)
-        self.pkts: list = [None] * capacity
-        self._free = list(range(capacity - 1, -1, -1))
-        #: High-water slot index + 1 (bounds every vectorized scan).
-        self._top = 0
-        self.count = 0
-        #: Due buckets (cycle -> action list) and the min-heap of their
-        #: keys (the span horizon; lazily purged).
-        self._due: dict = {}
-        self._dheap: list = []
-
-    def _grow(self) -> None:
-        old = self._cap
-        new = old * 2
-        for name in ("base", "sent0", "s", "n1", "deliver"):
-            grown = _np.zeros(new, _np.int64)
-            grown[:old] = getattr(self, name)
-            setattr(self, name, grown)
-        grown = _np.zeros(new, bool)
-        grown[:old] = self.live
-        self.live = grown
-        self.pkts.extend([None] * old)
-        self._free.extend(range(new - 1, old - 1, -1))
-        self._cap = new
-
-    def add(self, p, s: int, n1: int, cycle: int, deliver: int) -> int:
-        """Register a worm entering free-run; returns its slot.
-
-        Expands the worm's whole action schedule into the due buckets
-        -- tuples, keys and insertion order identical to the fast
-        path's ``_enter_lazy`` -- and snapshots the SoA columns.
-        """
-        if not self._free:
-            self._grow()
-        slot = self._free.pop()
-        lanes = p.lanes
-        self.base[slot] = cycle
-        self.sent0[slot] = lanes[n1].sent
-        self.s[slot] = s
-        self.n1[slot] = n1
-        self.deliver[slot] = deliver
-        self.live[slot] = True
-        self.pkts[slot] = p
-        if slot >= self._top:
-            self._top = slot + 1
-        self.count += 1
-        tok = p._lz_token
-        due = self._due
-        dheap = self._dheap
-        for i in range(s, n1):
-            lane = lanes[i]
-            # Tail crosses lane i once the head is (n1 - i) deliveries
-            # from done; the buffered tail flit drains one cycle later
-            # via the downstream channel's move.
-            t = deliver - (n1 - i)
-            bucket = due.get(t)
-            if bucket is None:
-                due[t] = bucket = []
-                heapq.heappush(dheap, t)
-            bucket.append((lane.channel.topo_order, 1, p, tok, lane))
-            down = lanes[i + 1].channel.topo_order
-            bucket = due.get(t + 1)
-            if bucket is None:
-                due[t + 1] = bucket = []
-                heapq.heappush(dheap, t + 1)
-            bucket.append((down, 0, p, tok, lane))
-        if s:
-            # The already-released lane just upstream still buffers one
-            # flit; lane ``s`` consumes it on its next -- provably last
-            # -- move, one cycle from now.
-            bucket = due.get(cycle + 1)
-            if bucket is None:
-                due[cycle + 1] = bucket = []
-                heapq.heappush(dheap, cycle + 1)
-            bucket.append(
-                (lanes[s].channel.topo_order, 0, p, tok, lanes[s - 1])
-            )
-        bucket = due.get(deliver)
-        if bucket is None:
-            due[deliver] = bucket = []
-            heapq.heappush(dheap, deliver)
-        bucket.append((lanes[n1].channel.topo_order, 2, p, tok, lanes[n1]))
-        return slot
-
-    def remove(self, slot: int) -> None:
-        """Free a slot (abort / materialization / delivery).
-
-        Scheduled actions stay in their buckets; the owner's token bump
-        cancels them at execution time (fast-path semantics).
-        """
-        self.live[slot] = False
-        self.pkts[slot] = None
-        self._free.append(slot)
-        self.count -= 1
-
-    def next_due(self) -> int:
-        """Earliest cycle with a scheduled action (FAR if none).
-
-        Never later than the true next due cycle (cancelled actions can
-        only leave it stale *low*), so span skipping can trust it as a
-        horizon.
-        """
-        h = self._dheap
-        return h[0] if h else FAR
-
-    def pop_due(self, cycle: int) -> Optional[list]:
-        """Due actions of ``cycle``, as ``(topo, kind, pkt, token, lane)``.
-
-        Returns None when nothing is due.  Cancelled actions (worm
-        aborted or materialized since scheduling) may be present; the
-        engine's executor drops them by token, exactly as on the fast
-        path.  The delivery frees the worm's slot via the engine (the
-        packet records it).
-        """
-        h = self._dheap
-        # Purge keys the clock has passed without visiting (possible
-        # only while no free-run worm was live, i.e. stale buckets).
-        while h and h[0] < cycle:
-            self._due.pop(heapq.heappop(h), None)
-        if not h or h[0] > cycle:
-            return None
-        heapq.heappop(h)
-        return self._due.pop(cycle)
-
-    def live_packets(self) -> list:
-        """The packets of every live slot (bulk materialization)."""
-        top = self._top
-        idx = _np.nonzero(self.live[:top])[0]
-        return [self.pkts[w] for w in idx.tolist()]
-
-    def clear(self) -> None:
-        """Drop every slot (after the engine materialized the worms)."""
-        self.live[: self._top] = False
-        for w in range(self._top):
-            self.pkts[w] = None
-        self._free = list(range(self._cap - 1, -1, -1))
-        self._top = 0
-        self.count = 0
-        self._due.clear()
-        self._dheap.clear()

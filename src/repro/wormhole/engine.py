@@ -37,6 +37,7 @@ from repro.sim.core import Environment
 from repro.sim.rng import RandomStream
 from repro.wormhole import channel as channel_mod
 from repro.wormhole.channel import Lane, PhysChannel
+from repro.wormhole.ledger import FreeRunLedger
 from repro.wormhole.network import SimNetwork
 from repro.wormhole.packet import Packet, PacketState
 from repro.wormhole.sanitizer import Sanitizer, sanitize_enabled
@@ -44,13 +45,14 @@ from repro.wormhole.sanitizer import Sanitizer, sanitize_enabled
 #: Channel bandwidth in the paper's units; one cycle is 1/20 us.
 FLITS_PER_MICROSECOND = 20.0
 
-#: Recognised engine paths: the optimized default, the simple reference
-#: implementation the differential suite certifies it against, and the
-#: numpy-backed batch tier (the fast path plus the SoA kernel of
-#: :mod:`repro.wormhole.batch`: span-skipping clock, SoA free-run
-#: ledger, mirrored RNG).  All three are bit-identical in every
-#: observable; batch requires the optional numpy dependency
-#: (``pip install repro[fast]``) and refuses cleanly without.
+#: Recognised engine paths: the optimized default (span-sleep clock,
+#: one pure-Python free-run ledger), the simple reference
+#: implementation the differential suite certifies it against (one
+#: kernel wake per cycle), and the batch tier (the default plus the
+#: numpy-mirrored allocation RNG of :mod:`repro.wormhole.batch`).  All
+#: three are bit-identical in every simulation observable; batch
+#: requires the optional numpy dependency (``pip install repro[fast]``)
+#: and refuses cleanly without.
 ENGINE_KINDS = ("fast", "reference", "batch")
 
 #: Sort key for the fast path's active channel list.
@@ -76,12 +78,12 @@ _ACT_KEY = itemgetter(0, 1)
 def resolve_engine(engine: Optional[str] = None) -> str:
     """Resolve the engine-path choice against the ``REPRO_ENGINE`` env var.
 
-    Explicit arguments win; otherwise ``REPRO_ENGINE=reference`` (set
-    e.g. by ``python -m repro.experiments --engine=reference``) opts out
-    of the fast path, and the default is ``"fast"``.  The environment
-    variable -- not a thread-local or global -- is the carrier so the
-    choice survives into :mod:`repro.experiments.parallel` worker
-    processes unchanged.
+    Explicit arguments win; otherwise ``REPRO_ENGINE`` (set e.g. by
+    ``python -m repro.experiments --engine=reference``) picks the tier,
+    and the default is ``"fast"``: the span-sleep tier that needs no
+    optional dependency.  The environment variable -- not a
+    thread-local or global -- is the carrier so the choice survives
+    into :mod:`repro.experiments.parallel` worker processes unchanged.
     """
     if engine is None:
         engine = os.environ.get("REPRO_ENGINE", "") or "fast"
@@ -207,39 +209,39 @@ class WormholeEngine:
         self.stats = EngineStats()
         #: The engine tier (one of :data:`ENGINE_KINDS`; None defers to
         #: ``REPRO_ENGINE``).  ``fast`` runs the optimized per-cycle
-        #: phases (active channel list, cached blocked headers), the
-        #: reference tier the straightforward phases, and ``batch``
-        #: layers the SoA kernel of :mod:`repro.wormhole.batch` on the
-        #: fast path.  All tiers make bit-identical decisions -- see
+        #: phases (active channel list, cached blocked headers, per-worm
+        #: advance, free-run ledger) under the span-sleep clock, the
+        #: reference tier the straightforward phases one cycle per
+        #: kernel wake, and ``batch`` is ``fast`` with the allocation
+        #: stream served by :class:`repro.wormhole.batch.BatchStream`.
+        #: All tiers make bit-identical decisions -- see
         #: ``tests/differential``.
         kind = resolve_engine(engine)
         self.fast = kind != "reference"
-        self.batch = kind == "batch"
-        #: Free-run ledger of the batch tier (replaces the ``_lazy``
-        #: dict buckets).
-        self._ledger = None
-        if self.batch:
+        if kind == "batch":
             from repro.wormhole import batch as batch_mod
 
             batch_mod.require_numpy()
             # Serve the engine's allocation stream from the mirrored
             # MT19937 (bit-identical draws, bulk-prefetched words).
             self.rng = batch_mod.BatchStream.adopt(self.rng)
-            self._ledger = batch_mod.SoALedger()
         #: Count of pending headers whose blocked-decision cache is
         #: valid at the current fault epoch.  When it covers the whole
         #: routing queue, Phase A's scan is provably a no-op beyond the
-        #: service-order shuffle (batch tier's all-blocked exit).
+        #: service-order shuffle (the all-blocked exit).
         self._blk_valid = 0
-        #: Deferred service-order shuffles (batch tier).  An all-blocked
-        #: cycle's shuffle permutes ``_pending_route`` but nothing reads
-        #: the order until the next full allocation scan -- and while
-        #: every header is blocked and nothing is moving, the queue's
+        #: Deferred service-order shuffles.  An all-blocked cycle's
+        #: shuffle permutes ``_pending_route`` but nothing reads the
+        #: order until the next full allocation scan -- and while every
+        #: header is blocked and nothing is moving, the queue's
         #: membership cannot change either.  So quiet cycles bump this
         #: counter instead of drawing, and :meth:`_flush_shuffles`
-        #: replays the exact draws (``BatchStream.shuffle_k``) right
+        #: replays the exact draws (``RandomStream.shuffle_k``) right
         #: before the next order-observing shuffle or scan.
         self._shuffle_debt = 0
+        #: Cycles the span-sleep clock credited without executing them
+        #: (observability only; see :class:`repro.obs.KernelProfiler`).
+        self.cycles_skipped = 0
         #: Channels with at least one owned lane, in reverse-topological
         #: order (fast path's working set for Phase B).
         self._active: list[PhysChannel] = []
@@ -251,17 +253,12 @@ class WormholeEngine:
         #: worm-private 1-flit buffers it provably stays stalled until
         #: Phase A grants its header a new lane, which re-adds it.
         self._moving: list[Packet] = []
-        #: Free-run fast-forward ledger (per-worm Phase B): cycle ->
-        #: [(channel topo key, kind, packet, token, lane)] actions the
-        #: action merge replays at that cycle, sorted by ``_ACT_KEY`` so
-        #: each lands at the reference sweep's within-cycle position.
-        #: Kinds: 0 = final buffer drain, 1 = tail release, 2 = deliver.
-        self._lazy: dict[int, list] = {}
-        #: Worms currently (or recently) free-running, for bulk
-        #: materialization when the channel sweep takes over.
-        self._lazy_pkts: list[Packet] = []
-        #: Live free-running worms (progress/watchdog accounting).
-        self._lazy_live = 0
+        #: Free-run fast-forward ledger (per-worm Phase B): the due
+        #: actions the action merge replays, and the span horizon.
+        self._ledger = FreeRunLedger()
+        #: The ledger's live free-running worms (truthy while any
+        #: stream; progress/watchdog accounting).
+        self._lazy_live = self._ledger.live
         #: Per-worm Phase B is valid only when every channel has a
         #: single lane (TMIN/DMIN/BMIN): multi-lane wires (the VMIN's
         #: virtual channels) couple worms through the round-robin
@@ -620,14 +617,14 @@ class WormholeEngine:
     # ``tests/differential`` certifies the equivalence end to end.
 
     def _flush_shuffles(self) -> None:
-        """Replay deferred all-blocked service-order shuffles (batch).
+        """Replay deferred all-blocked service-order shuffles.
 
         Debt only accrues while the routing queue's membership is
         provably frozen (every header blocked with a valid cache,
         nothing moving, nothing injecting), so replaying the postponed
-        Fisher-Yates passes now -- fused via
-        :meth:`~repro.wormhole.batch.BatchStream.shuffle_k` -- consumes
-        exactly the words the per-cycle shuffles would have, in order.
+        Fisher-Yates passes now -- via
+        :meth:`~repro.sim.rng.RandomStream.shuffle_k` -- consumes
+        exactly the draws the per-cycle shuffles would have, in order.
         """
         debt = self._shuffle_debt
         if debt:
@@ -720,11 +717,7 @@ class WormholeEngine:
 
         if not self._pending_route:
             return
-        if (
-            self._blk_valid == len(self._pending_route)
-            and self.batch
-            and obs is None
-        ):
+        if self._blk_valid == len(self._pending_route) and obs is None:
             # Every pending header holds a current-epoch blocked cache:
             # the scan below would take the cache-hit exit for each one
             # and rebuild the same list.  The service-order shuffle is
@@ -961,14 +954,9 @@ class WormholeEngine:
         reasoning every cycle (``REPRO_SANITIZE=1``).
         """
         moving = self._moving
-        if self._ledger is not None:
-            acts = (
-                self._ledger.pop_due(self.cycles_run)
-                if self._lazy_live
-                else None
-            )
-        else:
-            acts = self._lazy.pop(self.cycles_run, None) if self._lazy else None
+        acts = (
+            self._ledger.pop_due(self.cycles_run) if self._lazy_live else None
+        )
         if not moving and acts is None:
             if self._lazy_live:
                 self._progressed = True  # free-running worms stream
@@ -1106,8 +1094,8 @@ class WormholeEngine:
         the header never routes again.  Instead of revisiting the worm
         each cycle, schedule its future *observable* effects -- each
         lane's tail release, each released buffer's final drain, the
-        delivery -- as topo-keyed actions in :attr:`_lazy` and drop it
-        from the moving list.  The action merge in
+        delivery -- as topo-keyed actions in the free-run ledger and
+        drop it from the moving list.  The action merge in
         :meth:`_phase_advance_worms` replays them at exactly the
         reference sweep's cycle and within-cycle position, so the
         schedule stays bit-identical.  Buffers need no bookkeeping in
@@ -1132,57 +1120,11 @@ class WormholeEngine:
             return False  # upstream starvation (defensive; see below)
         head = lanes[n1]
         c = self.cycles_run
-        remaining = p.length - head.sent  # head finishes at c+remaining
-        if self._ledger is not None:
-            # Batch tier: the SoA ledger regenerates the actions below
-            # on demand from five scalars per worm -- no bucket churn.
-            p._lz_slot = self._ledger.add(p, s, n1, c, c + remaining)
-            p._lz_base = c
-            p._lz_sent0 = head.sent
-            p._moving = False
-            self._lazy_live += 1
-            return True
-        tok = p._lz_token
-        lazy = self._lazy
-        for i in range(s, n1):
-            lane = lanes[i]
-            # Tail crosses lane i once the head is (n1 - i) deliveries
-            # from done; the buffered tail flit drains one cycle later
-            # via the downstream channel's move.
-            t = c + remaining - (n1 - i)
-            bucket = lazy.get(t)
-            if bucket is None:
-                bucket = lazy[t] = []
-            bucket.append((lane.channel.topo_order, 1, p, tok, lane))
-            down = lanes[i + 1].channel.topo_order
-            bucket = lazy.get(t + 1)
-            if bucket is None:
-                bucket = lazy[t + 1] = []
-            bucket.append((down, 0, p, tok, lane))
-        if s:
-            # The already-released lane just upstream still buffers one
-            # flit (it must: its tail crossed, lane ``s`` has not, and
-            # the buffer holds one flit); lane ``s`` consumes it on its
-            # next -- provably last -- move, one cycle from now.
-            bucket = lazy.get(c + 1)
-            if bucket is None:
-                bucket = lazy[c + 1] = []
-            bucket.append(
-                (lanes[s].channel.topo_order, 0, p, tok, lanes[s - 1])
-            )
-        t = c + remaining
-        bucket = lazy.get(t)
-        if bucket is None:
-            bucket = lazy[t] = []
-        bucket.append((head.channel.topo_order, 2, p, tok, head))
+        # The head finishes ``length - sent`` deliveries from now.
+        self._ledger.add(p, s, n1, c, c + p.length - head.sent)
         p._lz_base = c
         p._lz_sent0 = head.sent
         p._moving = False
-        self._lazy_live += 1
-        pkts = self._lazy_pkts
-        pkts.append(p)
-        if len(pkts) > 64 and len(pkts) > (self._lazy_live << 1):
-            self._lazy_pkts = [q for q in pkts if q._lz_base >= 0]
         return True
 
     def _exec_lazy(self, act) -> bool:
@@ -1209,10 +1151,7 @@ class WormholeEngine:
             self._lane_freed(lane.channel)
             p._lz_token = act[3] + 1  # no actions outlive the delivery
             p._lz_base = -1
-            self._lazy_live -= 1
-            if p._lz_slot >= 0:
-                self._ledger.remove(p._lz_slot)
-                p._lz_slot = -1
+            self._ledger.remove(p)
             self._finalize(p)
         return True
 
@@ -1244,10 +1183,7 @@ class WormholeEngine:
         p.delivered_flits = head_sent
         p._lz_token += 1
         p._lz_base = -1
-        self._lazy_live -= 1
-        if p._lz_slot >= 0:
-            self._ledger.remove(p._lz_slot)
-            p._lz_slot = -1
+        self._ledger.remove(p)
 
     def _materialize_lazy(self) -> None:
         """Unwind every free-run shortcut (the channel sweep takes over).
@@ -1258,22 +1194,11 @@ class WormholeEngine:
         the per-worm sweep picks them up.
         """
         moving = self._moving
-        if self._ledger is not None:
-            for p in self._ledger.live_packets():
-                self._materialize_worm(p)  # frees the slot too
-                p._moving = True
-                moving.append(p)
-            self._ledger.clear()
-            self._lazy_live = 0
-            return
-        for p in self._lazy_pkts:
-            if p._lz_base >= 0:
-                self._materialize_worm(p)
-                p._moving = True
-                moving.append(p)
-        self._lazy_pkts.clear()
-        self._lazy.clear()
-        self._lazy_live = 0
+        for p in list(self._lazy_live):  # entry order
+            self._materialize_worm(p)
+            p._moving = True
+            moving.append(p)
+        self._ledger.clear()
 
     def _lane_freed(self, ch: PhysChannel) -> None:
         """Fast-path bookkeeping after any ``Lane.release``.
@@ -1434,7 +1359,7 @@ class WormholeEngine:
 
     def _clock(self):
         env = self.env
-        batch = self.batch
+        span = self.fast  # the reference tier wakes once per cycle
         while True:
             if self.idle:
                 # Fast-forward to the next external event (an arrival);
@@ -1447,7 +1372,7 @@ class WormholeEngine:
                     yield env.timeout(max(1.0, math.ceil(nxt - env.now)))
                 self.step_cycle()
                 continue
-            if batch:
+            if span:
                 # Batched wake: _span_cycles proves the next k-1 cycles
                 # are no-ops beyond their (deferred) shuffle draws, so
                 # credit them and land straight on tick k of the exact
@@ -1468,6 +1393,7 @@ class WormholeEngine:
                         target += 1.0
                 if k > 1:
                     self.cycles_run += k - 1
+                    self.cycles_skipped += k - 1
                     # The skipped cycles' service-order shuffles are
                     # owed (membership cannot change mid-span); the
                     # next order-observing scan replays them.  A queue
@@ -1493,7 +1419,7 @@ class WormholeEngine:
             self.step_cycle()
 
     def _span_cycles(self) -> int:
-        """Cycles the batch clock may sleep through in one wake (>= 1).
+        """Cycles the span-sleep clock may sleep through in one wake (>= 1).
 
         A cycle is a provable no-op -- no RNG draw, no state change, no
         bus event -- exactly when nothing can inject (``_inj_ready``

@@ -62,7 +62,6 @@ class Packet:
         "_lz_base",
         "_lz_sent0",
         "_lz_token",
-        "_lz_slot",
     )
 
     def __init__(
@@ -125,17 +124,16 @@ class Packet:
         self._order = 0
 
         # Free-run fast-forward state (see
-        # ``WormholeEngine._enter_lazy``): the engine cycle at which the
-        # worm entered lazy streaming, the head lane's ``sent`` at that
+        # ``WormholeEngine._enter_lazy`` and
+        # :class:`repro.wormhole.ledger.FreeRunLedger`): the engine
+        # cycle at which the worm entered lazy streaming (-1 while it
+        # is not free-running), the head lane's ``sent`` at that
         # instant (together they reconstruct per-lane progress for
         # abort/mode-switch materialization), and a token that
         # invalidates the worm's scheduled lazy actions when bumped.
         self._lz_base = -1
         self._lz_sent0 = 0
         self._lz_token = 0
-        #: Slot index in the batch tier's SoA free-run ledger (see
-        #: :class:`repro.wormhole.batch.SoALedger`); -1 when not held.
-        self._lz_slot = -1
 
     @property
     def latency(self) -> float:

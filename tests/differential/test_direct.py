@@ -11,7 +11,13 @@ tier and asserts byte-equal snapshots (see
 
 import pytest
 
-from tests.differential.harness import EventRecorder, assert_identical
+from tests.differential.harness import (
+    OPTIMIZED_TIERS,
+    EventRecorder,
+    assert_identical,
+    run_case,
+    strip_kernel_counters,
+)
 
 GEOM = {"k": 2, "n": 3}
 
@@ -51,23 +57,12 @@ def test_direct_vlink_slowdown(router):
 def test_direct_event_streams_identical():
     """Hot-bus mode: the exact publish order must match, not just the
     end state."""
-    fast_rec, ref_rec = EventRecorder(), EventRecorder()
-    from tests.differential.harness import (
-        BATCH_AVAILABLE,
-        run_case,
-        strip_kernel_counters,
-    )
-
     kwargs = {"net_kwargs": {**GEOM, "router": "adaptive"}}
-    fast = run_case("torus3d", "uniform", 0.6, "fast",
-                    sink=fast_rec, **kwargs)
+    ref_rec = EventRecorder()
     ref = run_case("torus3d", "uniform", 0.6, "reference",
                    sink=ref_rec, **kwargs)
-    assert fast == ref
-    assert fast_rec.events == ref_rec.events
-    if BATCH_AVAILABLE:
-        batch_rec = EventRecorder()
-        batch = run_case("torus3d", "uniform", 0.6, "batch",
-                         sink=batch_rec, **kwargs)
-        assert strip_kernel_counters(batch) == strip_kernel_counters(ref)
-        assert batch_rec.events == ref_rec.events
+    for tier in OPTIMIZED_TIERS:
+        rec = EventRecorder()
+        got = run_case("torus3d", "uniform", 0.6, tier, sink=rec, **kwargs)
+        assert strip_kernel_counters(got) == strip_kernel_counters(ref)
+        assert rec.events == ref_rec.events

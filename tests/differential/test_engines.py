@@ -1,22 +1,31 @@
-"""Differential certification: fast engine == reference engine, bitwise.
+"""Differential certification: optimized engines == reference, bitwise.
 
-Each case seeds one simulation point and runs it under both execution
-paths, asserting the full outcome snapshot -- measurement window,
-engine counters, every delivery record, kernel event counts -- is
-equal.  The grid spans all four networks, two traffic patterns, light
-and near-saturation loads, fault injection (soft + hard transient
-events, which exercise abort/materialization on the fast path), and
-runs under the runtime sanitizer (which disables the fast path's
-free-run shortcut, covering its fallback behaviour).
+Each case seeds one simulation point and runs it under every engine
+tier, asserting the outcome snapshot -- measurement window, engine
+counters, every delivery record, cycle count and clock -- is equal
+(kernel event counts excepted: the span-sleep clock skips wakes by
+design, see :mod:`tests.differential.harness`).  The grid spans all
+four networks, two traffic patterns, light and near-saturation loads,
+fault injection (soft + hard transient events, which exercise
+abort/materialization on the fast path), and runs under the runtime
+sanitizer (which disables the fast path's free-run shortcut and span
+sleep, covering their fallback behaviour).
 """
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 import pytest
 
+from repro.traffic.workload import MessageSizeModel
 from tests.differential.harness import (
+    CFG,
+    KERNEL_COUNTER_INDICES,
     NETWORK_KINDS,
     assert_identical,
+    run_case,
+    strip_kernel_counters,
 )
 
 
@@ -56,3 +65,17 @@ def test_sanitized_identity(kind: str, pattern: str) -> None:
 def test_sanitized_faulted_identity(kind: str) -> None:
     """Sanitizer and fault injection together (4 cases)."""
     assert_identical(kind, "uniform", 0.7, faults=True, sanitize=True)
+
+
+def test_span_clock_fires_fewer_kernel_events(monkeypatch) -> None:
+    """Long worms in a quiet DMIN: the default tier sleeps through most
+    cycles, so it fires far fewer kernel events than the reference's
+    one wake per cycle -- while every other observable stays equal."""
+    monkeypatch.delenv("REPRO_SANITIZE", raising=False)  # it stops spans
+    streaming = replace(CFG, sizes=MessageSizeModel("fixed", 256, 256))
+    ref = run_case("dmin", "uniform", 0.1, "reference", run_cfg=streaming)
+    fast = run_case("dmin", "uniform", 0.1, "fast", run_cfg=streaming)
+    assert strip_kernel_counters(fast) == strip_kernel_counters(ref)
+    scheduled, fired = KERNEL_COUNTER_INDICES
+    assert fast[scheduled] * 4 < ref[scheduled]
+    assert fast[fired] * 4 < ref[fired]

@@ -5,7 +5,8 @@ and batch engines take their exact-event-order channel sweep, and
 every inject / acquire / block / release / transmit / deliver publish
 must then match the reference engine's stream element-for-element --
 ordering included.  This is strictly stronger than end-state equality:
-it pins the *within-cycle* schedule of every path.
+it pins the *within-cycle* schedule of every path.  Snapshots compare
+without the kernel event counters (see :mod:`tests.differential.harness`).
 """
 
 from __future__ import annotations
@@ -13,63 +14,39 @@ from __future__ import annotations
 import pytest
 
 from tests.differential.harness import (
-    BATCH_AVAILABLE,
     NETWORK_KINDS,
+    OPTIMIZED_TIERS,
     EventRecorder,
     run_case,
     strip_kernel_counters,
 )
 
 
+def _assert_streams_match(kind: str, load: float, **kwargs) -> None:
+    """Every optimized tier reproduces the reference's event stream."""
+    rec_ref = EventRecorder()
+    snap_ref = run_case(kind, "uniform", load, "reference", sink=rec_ref, **kwargs)
+    for tier in OPTIMIZED_TIERS:
+        rec = EventRecorder()
+        snap = run_case(kind, "uniform", load, tier, sink=rec, **kwargs)
+        assert strip_kernel_counters(snap) == strip_kernel_counters(snap_ref)
+        # Compare element-wise for a readable first-divergence message.
+        for i, (a, b) in enumerate(zip(rec.events, rec_ref.events)):
+            assert a == b, (
+                f"{kind}/load={load}: {tier} event stream diverges at "
+                f"index {i}: {tier}={a} reference={b}"
+            )
+        assert len(rec.events) == len(rec_ref.events)
+
+
 @pytest.mark.parametrize("kind", NETWORK_KINDS)
 @pytest.mark.parametrize("load", (0.2, 0.8))
 def test_event_stream_identity(kind: str, load: float) -> None:
     """4 networks x 2 loads with a hot recording sink (8 cases)."""
-    rec_fast = EventRecorder()
-    rec_ref = EventRecorder()
-    snap_fast = run_case(kind, "uniform", load, "fast", sink=rec_fast)
-    snap_ref = run_case(kind, "uniform", load, "reference", sink=rec_ref)
-    assert snap_fast == snap_ref
-    assert len(rec_fast.events) == len(rec_ref.events)
-    # Compare element-wise for a readable first-divergence message.
-    for i, (a, b) in enumerate(zip(rec_fast.events, rec_ref.events)):
-        assert a == b, (
-            f"{kind}/load={load}: event stream diverges at index {i}: "
-            f"fast={a} reference={b}"
-        )
-    if BATCH_AVAILABLE:
-        rec_batch = EventRecorder()
-        snap_batch = run_case(kind, "uniform", load, "batch", sink=rec_batch)
-        assert strip_kernel_counters(snap_batch) == strip_kernel_counters(
-            snap_ref
-        )
-        for i, (a, b) in enumerate(zip(rec_batch.events, rec_ref.events)):
-            assert a == b, (
-                f"{kind}/load={load}: batch event stream diverges at "
-                f"index {i}: batch={a} reference={b}"
-            )
-        assert len(rec_batch.events) == len(rec_ref.events)
+    _assert_streams_match(kind, load)
 
 
 @pytest.mark.parametrize("kind", ("dmin", "bmin"))
 def test_event_stream_identity_with_faults(kind: str) -> None:
     """Hot sink + fault injection: aborts and repairs in the stream."""
-    rec_fast = EventRecorder()
-    rec_ref = EventRecorder()
-    snap_fast = run_case(
-        kind, "uniform", 0.7, "fast", sink=rec_fast, faults=True
-    )
-    snap_ref = run_case(
-        kind, "uniform", 0.7, "reference", sink=rec_ref, faults=True
-    )
-    assert snap_fast == snap_ref
-    assert rec_fast.events == rec_ref.events
-    if BATCH_AVAILABLE:
-        rec_batch = EventRecorder()
-        snap_batch = run_case(
-            kind, "uniform", 0.7, "batch", sink=rec_batch, faults=True
-        )
-        assert strip_kernel_counters(snap_batch) == strip_kernel_counters(
-            snap_ref
-        )
-        assert rec_batch.events == rec_ref.events
+    _assert_streams_match(kind, 0.7, faults=True)

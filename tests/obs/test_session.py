@@ -105,6 +105,26 @@ def test_profiler_counts_kernel_activity():
     assert "wall time" in prof.render()
 
 
+def test_profiler_reports_span_skipped_cycles():
+    """One long worm in an idle fabric: the span-sleep clock credits
+    most of its cycles without a tick, and the profiler says so."""
+    env = Environment()
+    eng = WormholeEngine(
+        env, build_network("dmin", 2, 3), rng=RandomStream(0),
+        engine="fast", sanitize=False,
+    )
+    prof = KernelProfiler().install(eng)
+    eng.offer(1, 6, 512)
+    eng.drain()
+    prof.finish()
+    assert prof.cycles_skipped == eng.cycles_skipped > 0
+    assert 0.5 < prof.span_skip_ratio < 1.0
+    d = prof.to_dict()
+    assert d["cycles_skipped"] == prof.cycles_skipped
+    assert d["span_skip_ratio"] == prof.span_skip_ratio
+    assert "cycles skipped" in prof.render()
+
+
 def test_profiler_finish_is_idempotent():
     env, eng = _engine()
     prof = KernelProfiler().install(eng)

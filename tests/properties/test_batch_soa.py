@@ -1,21 +1,15 @@
-"""Property-based certification of the batch tier's SoA kernel.
+"""Property-based certification of the batch tier's mirrored RNG.
 
-Two contracts back the batch engine's bit-identity claim
-(:mod:`repro.wormhole.batch`), and each gets a randomized oracle here:
-
-* :class:`BatchStream` -- every public variate, drawn from the numpy
-  ``MT19937`` mirror, must equal the stdlib :class:`RandomStream`'s
-  draw *by draw* over arbitrary interleaved call sequences, including
-  mid-stream :meth:`BatchStream.adopt` and the fused
-  :meth:`BatchStream.shuffle_k` (``k`` deferred service-order shuffles
-  must consume exactly the words, and produce exactly the permutation,
-  of ``k`` sequential ``shuffle`` calls);
-* :class:`SoALedger` -- the action schedule expanded by :meth:`add`
-  must match an independent reimplementation of the documented
-  free-run schedule bucket for bucket (keys, tuples, and within-bucket
-  insertion order), ``next_due`` must never overshoot the true
-  horizon, and the slot columns must round-trip through
-  add/remove/grow/clear.
+The batch engine's bit-identity claim (:mod:`repro.wormhole.batch`)
+rests on :class:`BatchStream`: every public variate, drawn from the
+numpy ``MT19937`` mirror, must equal the stdlib :class:`RandomStream`'s
+draw *by draw* over arbitrary interleaved call sequences, including
+mid-stream :meth:`BatchStream.adopt` and the fused
+:meth:`BatchStream.shuffle_k` (``k`` deferred service-order shuffles
+must consume exactly the words, and produce exactly the permutation,
+of ``k`` sequential ``shuffle`` calls).  The free-run ledger both
+optimized tiers share is certified numpy-free in
+``tests/properties/test_free_run_ledger.py``.
 
 The suite skips cleanly when Hypothesis or numpy is absent (both ship
 in the dev environment; neither is a runtime dependency of tier 1).
@@ -38,11 +32,7 @@ from repro.wormhole.batch import numpy_available  # noqa: E402
 if not numpy_available():  # pragma: no cover - numpy ships in dev env
     pytest.skip("batch tier requires numpy", allow_module_level=True)
 
-from repro.wormhole.batch import (  # noqa: E402
-    FAR,
-    BatchStream,
-    SoALedger,
-)
+from repro.wormhole.batch import BatchStream  # noqa: E402
 
 # ------------------------------------------------------------ RNG mirror
 
@@ -159,132 +149,3 @@ def test_getrandbits_word_derivation(seed, ks):
     mir = BatchStream(seed)
     for k in ks:
         assert ref.getrandbits(k) == mir._getrandbits(k), k
-
-
-# ------------------------------------------------------- SoALedger oracle
-
-
-class _Chan:
-    __slots__ = ("topo_order", "is_delivery", "label")
-
-    def __init__(self, topo_order, is_delivery=False):
-        self.topo_order = topo_order
-        self.is_delivery = is_delivery
-        self.label = f"c{topo_order}"
-
-
-class _Lane:
-    __slots__ = ("sent", "buf", "channel")
-
-    def __init__(self, sent, buf, channel):
-        self.sent = sent
-        self.buf = buf
-        self.channel = channel
-
-
-class _Pkt:
-    def __init__(self, lanes, length, token=7):
-        self.lanes = lanes
-        self.length = length
-        self._lz_token = token
-
-
-#: One free-run registration: (s, suffix length, entry cycle, slack).
-#: ``deliver`` is placed so every expanded action lands strictly after
-#: the entry cycle, as the engine guarantees.
-_entry = st.tuples(
-    st.integers(0, 2),
-    st.integers(1, 5),
-    st.integers(0, 400),
-    st.integers(1, 50),
-)
-
-
-def _model_schedule(p, s, n1, cycle, deliver):
-    """The documented free-run schedule, reimplemented from scratch."""
-    lanes = p.lanes
-    tok = p._lz_token
-    out: dict = {}
-    for i in range(s, n1):
-        t = deliver - (n1 - i)
-        out.setdefault(t, []).append(
-            (lanes[i].channel.topo_order, 1, p, tok, lanes[i])
-        )
-        out.setdefault(t + 1, []).append(
-            (lanes[i + 1].channel.topo_order, 0, p, tok, lanes[i])
-        )
-    if s:
-        out.setdefault(cycle + 1, []).append(
-            (lanes[s].channel.topo_order, 0, p, tok, lanes[s - 1])
-        )
-    out.setdefault(deliver, []).append(
-        (lanes[n1].channel.topo_order, 2, p, tok, lanes[n1])
-    )
-    return out
-
-
-@given(entries=st.lists(_entry, min_size=1, max_size=10))
-@settings(max_examples=150, deadline=None)
-def test_ledger_schedule_equivalence(entries):
-    """Every bucket the ledger expands -- keys, tuples, insertion
-    order -- matches the independent model, and draining by ascending
-    cycle empties both the same way."""
-    ledger = SoALedger(capacity=2)  # force _grow on the way
-    model: dict = {}
-    for token, (s, m, cycle, slack) in enumerate(entries):
-        n1 = s + m - 1
-        lanes = [
-            _Lane(0, 0, _Chan(i, is_delivery=i == n1)) for i in range(n1 + 1)
-        ]
-        p = _Pkt(lanes, 16, token=token)
-        deliver = cycle + (n1 - s) + slack
-        ledger.add(p, s, n1, cycle, deliver)
-        for t, acts in _model_schedule(p, s, n1, cycle, deliver).items():
-            model.setdefault(t, []).extend(acts)
-    assert ledger.count == len(entries)
-    while model:
-        t = min(model)
-        assert ledger.next_due() <= t  # never overshoots the horizon
-        got = ledger.pop_due(t)
-        assert got == model.pop(t)
-    assert ledger.next_due() == FAR
-    assert ledger.pop_due(10**9) is None
-
-
-@given(
-    entries=st.lists(_entry, min_size=1, max_size=12),
-    drops=st.lists(st.integers(0, 11), max_size=12),
-)
-@settings(max_examples=150, deadline=None)
-def test_ledger_slot_round_trip(entries, drops):
-    """SoA columns round-trip through add/remove/grow, and the live
-    set (what bulk materialization reads) always equals the model."""
-    ledger = SoALedger(capacity=1)
-    slots = {}
-    worms = {}
-    for token, (s, m, cycle, slack) in enumerate(entries):
-        n1 = s + m - 1
-        lanes = [_Lane(3 + token, 0, _Chan(i)) for i in range(n1 + 1)]
-        p = _Pkt(lanes, 16, token=token)
-        deliver = cycle + (n1 - s) + slack
-        slots[token] = ledger.add(p, s, n1, cycle, deliver)
-        worms[token] = (p, s, n1, cycle, deliver)
-    for token in drops:
-        if token in slots:
-            ledger.remove(slots.pop(token))
-            del worms[token]
-    assert ledger.count == len(slots)
-    for token, slot in slots.items():
-        p, s, n1, cycle, deliver = worms[token]
-        assert bool(ledger.live[slot])
-        assert ledger.pkts[slot] is p
-        assert int(ledger.base[slot]) == cycle
-        assert int(ledger.sent0[slot]) == p.lanes[n1].sent
-        assert int(ledger.s[slot]) == s
-        assert int(ledger.n1[slot]) == n1
-        assert int(ledger.deliver[slot]) == deliver
-    assert set(ledger.live_packets()) == {p for p, *_ in worms.values()}
-    ledger.clear()
-    assert ledger.count == 0
-    assert ledger.live_packets() == []
-    assert ledger.next_due() == FAR

@@ -1,0 +1,114 @@
+"""The span-sleep clock on the default engine tier.
+
+Long worms in a quiet fabric leave most cycles provably empty; the
+default tier must sleep through them (few executed ticks per simulated
+cycle) and must do so without importing numpy, whose import would land
+in every process's setup time.
+"""
+
+from __future__ import annotations
+
+import os
+import subprocess
+import sys
+from dataclasses import replace
+from pathlib import Path
+
+import pytest
+
+from repro.experiments.config import PRESETS, NetworkConfig
+from repro.experiments.runner import build_point
+from repro.experiments.workload_spec import WorkloadSpec
+from repro.traffic.workload import MessageSizeModel
+
+SRC = Path(__file__).resolve().parents[2] / "src"
+
+#: Cycles each streaming point runs for.
+CYCLES = 20_000
+
+
+def streaming_point(engine=None, load=0.1):
+    """A DMIN point with 1024-flit worms at light load (clock not started)."""
+    cfg = replace(PRESETS["smoke"], sizes=MessageSizeModel("fixed", 1024, 1024))
+    network = NetworkConfig("dmin")
+    env, eng, root = build_point(network, load, cfg, engine)
+    workload = WorkloadSpec(pattern="uniform").builder(cfg)(load)
+    workload.install(env, eng, root.fork(f"workload/{network.label}/{load}"))
+    return env, eng
+
+
+def _count_ticks(eng) -> list:
+    """Wrap ``eng.step_cycle`` so executed ticks are counted."""
+    calls = [0]
+    step = eng.step_cycle
+
+    def counted():
+        calls[0] += 1
+        step()
+
+    eng.step_cycle = counted
+    return calls
+
+
+@pytest.fixture
+def default_tier(monkeypatch):
+    """Run with the default tier and no sanitizer, whatever the caller set."""
+    monkeypatch.delenv("REPRO_ENGINE", raising=False)
+    monkeypatch.delenv("REPRO_SANITIZE", raising=False)
+
+
+def test_default_tier_sleeps_through_streaming(default_tier):
+    env, eng = streaming_point()
+    ticks = _count_ticks(eng)
+    eng.start()
+    env.run(until=CYCLES)
+    assert eng.stats.delivered_packets > 0
+    assert ticks[0] <= 0.2 * eng.cycles_run
+    # Every cycle is either executed or credited by a span.
+    assert eng.cycles_run == ticks[0] + eng.cycles_skipped
+
+
+def test_reference_tier_ticks_every_cycle(default_tier):
+    env, eng = streaming_point(engine="reference")
+    ticks = _count_ticks(eng)
+    eng.start()
+    env.run(until=CYCLES // 4)
+    assert eng.cycles_skipped == 0
+    assert ticks[0] == eng.cycles_run
+
+
+class _HotSink:
+    """Subscribes to a hot bus kind, which demands every cycle."""
+
+    def on_transmit(self, t, channel, lane) -> None:
+        pass
+
+
+def test_hot_bus_sink_switches_span_sleep_off(default_tier):
+    env, eng = streaming_point()
+    eng.bus.attach(_HotSink())
+    eng.start()
+    env.run(until=CYCLES // 4)
+    assert eng.bus.hot
+    assert eng.cycles_skipped == 0
+
+
+def test_default_tier_point_imports_no_numpy():
+    """A fresh process that builds and runs a default-tier point never
+    imports numpy (the batch tier's optional dependency)."""
+    code = (
+        "import sys\n"
+        "from tests.wormhole.test_span_clock import CYCLES, streaming_point\n"
+        "env, eng = streaming_point()\n"
+        "eng.start()\n"
+        "env.run(until=CYCLES)\n"
+        "assert eng.cycles_skipped > 0, 'no span was taken'\n"
+        "assert 'numpy' not in sys.modules, 'the default tier imported numpy'\n"
+    )
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(SRC), str(SRC.parent)]))
+    env.pop("REPRO_ENGINE", None)
+    env.pop("REPRO_SANITIZE", None)
+    proc = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True
+    )
+    assert proc.returncode == 0, proc.stderr
