@@ -16,9 +16,9 @@
 * :mod:`repro.experiments.stability` -- post-saturation overload
   sweeps (steady-state classification past the knee) using
   :mod:`repro.stability`;
-* :mod:`repro.experiments.parallel` -- crash-tolerant multi-process
-  execution with per-point retry, JSON checkpoint/resume, and a
-  ``progress`` heartbeat callback;
+* :mod:`repro.experiments.parallel` -- multi-process sweeps run as
+  :mod:`repro.serve` jobs (per-point retry and timeout, result-cache
+  resume, a ``progress`` heartbeat callback);
 * :mod:`repro.experiments.traced` -- one measured point with the
   :mod:`repro.obs` observability subsystem attached (contention
   ledgers, latency histograms, optional Perfetto trace).
@@ -74,9 +74,7 @@ from repro.experiments.stability import (
 )
 from repro.experiments.workload_spec import WorkloadSpec
 from repro.experiments.parallel import (
-    DispatchStats,
     ProgressFn,
-    SweepCheckpoint,
     parallel_matrix,
     parallel_sweep,
 )
@@ -94,7 +92,6 @@ from repro.experiments.availability import (
 __all__ = [
     "AvailabilityPoint",
     "AvailabilityResult",
-    "DispatchStats",
     "CONVERGED",
     "HI_SUSTAINABLE",
     "LOAD_FACTORS",
@@ -108,7 +105,6 @@ __all__ = [
     "FigureResult",
     "LoadPoint",
     "ProgressFn",
-    "SweepCheckpoint",
     "availability_checks",
     "availability_comparison",
     "availability_point",

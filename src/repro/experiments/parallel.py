@@ -1,391 +1,60 @@
-"""Crash-tolerant multi-process experiment execution.
+"""Multi-process offered-load sweeps, served by :mod:`repro.serve`.
 
-Simulation points are pure functions of picklable configuration
-(:class:`NetworkConfig`, :class:`WorkloadSpec`, :class:`RunConfig`,
-offered load), so a sweep -- or a whole figure's worth of sweeps --
-parallelizes embarrassingly across a process pool.  Results are
-bit-identical to the sequential runner (same seeds, same code path);
-only wall-clock changes.
+Simulation points are pure functions of picklable configuration, so a
+sweep -- or a whole figure's worth -- runs as one sweep-service job
+(:meth:`repro.serve.SweepService.run_job_sync`), bit-identical to the
+sequential runner:
 
     spec = WorkloadSpec(pattern="uniform")
     result = parallel_sweep(NetworkConfig("dmin"), spec, SCALED)
 
-Robustness (long sweeps survive their infrastructure):
-
-* **future per task** -- one crashed worker loses one point, never the
-  pool's other results;
-* **per-point timeout** -- ``timeout=`` seconds of wall clock per
-  point, enforced by a cooperative monotonic deadline checked inside
-  the simulation loop (works in any thread, on any platform; SIGALRM
-  stays armed as a main-thread-only backstop, plus a phase-level
-  backstop), so a hung point cannot wedge the whole figure;
-* **retry with backoff** -- crashed/timed-out points are re-run
-  sequentially in the parent (``retries=`` attempts, exponential
-  sleep), where a transient failure (OOM-killed worker, flaky node)
-  usually clears;
-* **partial results** -- a point that still fails yields a
-  :class:`~repro.experiments.runner.LoadPoint` with ``measurement=None``
-  and the error string attached, so every completed point is kept;
-* **checkpoint/resume** -- ``checkpoint="sweep.json"`` persists each
-  finished point as it lands; re-running with the same path skips them
-  (a corrupt/truncated checkpoint is quarantined to ``*.corrupt`` and
-  the sweep restarts cleanly);
-* **dedupe before dispatch** -- identical ``(network, spec, load)``
-  entries simulate once and fan out; the fold is reported in
-  ``SweepResult.dispatch`` (:class:`DispatchStats`).
+Sweeps therefore share the service's robustness: a point that raises
+or whose worker dies (SIGKILL, OOM) is retried on a fresh worker; a
+point that still fails comes back as ``LoadPoint(load, None,
+error=...)`` while every other point is kept; identical points simulate
+once; and ``cache=`` names a :class:`~repro.serve.ResultCache`
+directory from which a re-run resumes, computing only missing points.
 """
 
 from __future__ import annotations
 
-import json
-import logging
+import dataclasses
+import functools
 import os
 import tempfile
-import time
-from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
-from dataclasses import dataclass
+from contextlib import nullcontext
 from pathlib import Path
 from typing import Callable, Optional, Sequence, Union
 
 from repro.experiments.config import NetworkConfig, RunConfig
-from repro.experiments.runner import (
-    LoadPoint,
-    SweepResult,
-    run_point,
-    set_point_deadline,
-)
+from repro.experiments.runner import LoadPoint, SweepResult
 from repro.experiments.workload_spec import WorkloadSpec
-from repro.metrics.collector import (
-    measurement_from_dict,
-    measurement_to_dict,
-)
+from repro.metrics.collector import measurement_from_dict, measurement_to_dict
+from repro.wormhole.engine import resolve_engine
 
-logger = logging.getLogger(__name__)
-
-#: One task: (network, spec, load, run_cfg); its key inside a matrix is
-#: (network.label, load).
+#: One point for a custom runner: (network, spec, load, run_cfg), where
+#: ``run_cfg.seed`` is the point's seed.
 PointTask = tuple[NetworkConfig, WorkloadSpec, float, RunConfig]
 
-#: A point runner maps one task to its LoadPoint (overridable in tests
-#: to inject crashes; must be a picklable module-level callable).
+#: A picklable module-level callable mapping a task to its LoadPoint.
 PointRunner = Callable[[PointTask], LoadPoint]
 
-#: Progress callback ``progress(done, total, label)`` invoked in the
-#: parent after every settled point (checkpoint hits included).  Use
-#: :class:`repro.obs.progress.ProgressMeter` for a throttled stderr
-#: heartbeat.
+#: ``progress(done, total, label)``, called after every computed point
+#: (e.g. a :class:`repro.obs.progress.ProgressMeter`).
 ProgressFn = Callable[[int, int, str], None]
 
 
-def _point_task(args: PointTask) -> LoadPoint:
-    network, spec, load, run_cfg = args
-    measurement = run_point(network, spec.builder(run_cfg), load, run_cfg)
-    return LoadPoint(load, measurement)
+def _task_payload(point_runner: PointRunner, point) -> dict:
+    """A :class:`PointRunner` as the service's ``PointSpec -> payload``
+    runner."""
+    from repro.serve.compute import PAYLOAD_VERSION
 
-
-def _alarmed_runner(
-    payload: tuple[PointRunner, float, PointTask],
-) -> LoadPoint:
-    """Run one point under a wall-clock limit (in the worker).
-
-    The primary mechanism is *cooperative*: the worker arms a
-    per-thread monotonic deadline
-    (:func:`repro.experiments.runner.set_point_deadline`) that the
-    simulation loop checks between chunks and converts into an ordinary
-    :class:`~repro.experiments.runner.PointTimeout` the parent handles
-    like any crash.  Cooperative checks work in any thread on any
-    platform and interrupt at a clean chunk boundary.
-
-    SIGALRM remains as a *backstop* -- armed only when available (Unix)
-    and only in a main thread (its hard constraint) -- for points hung
-    somewhere that never reaches the cooperative check (e.g. a
-    pathological pure-Python spin outside the runner loop).  The phase
-    deadline in :func:`_run_tasks` is the final backstop for workers
-    stuck in uninterruptible code.
-    """
-    runner, seconds, task = payload
-    import signal
-    import threading
-
-    use_alarm = hasattr(signal, "SIGALRM") and (
-        threading.current_thread() is threading.main_thread()
-    )
-
-    def _fire(signum, frame):
-        raise TimeoutError(f"point exceeded {seconds}s")
-
-    if use_alarm:
-        # Backstop only: give the cooperative deadline first claim.
-        old = signal.signal(signal.SIGALRM, _fire)
-        signal.setitimer(signal.ITIMER_REAL, seconds * 1.5)
-    set_point_deadline(seconds)
-    try:
-        return runner(task)
-    finally:
-        set_point_deadline(None)
-        if use_alarm:
-            signal.setitimer(signal.ITIMER_REAL, 0)
-            signal.signal(signal.SIGALRM, old)
-
-
-def _task_key(task: PointTask) -> str:
-    network, spec, load, _ = task
-    return f"{network.label}|{spec.label}|{load!r}"
-
-
-# ------------------------------------------------------------- checkpointing
-
-
-@dataclass(frozen=True)
-class DispatchStats:
-    """How the parallel runner actually served one phase of tasks.
-
-    ``requested`` counts the tasks handed in, ``unique`` the distinct
-    ``(network, spec, load)`` keys left after dedupe, ``deduplicated``
-    the duplicates folded onto a representative, and ``checkpointed``
-    how many of the unique keys were answered from a resume checkpoint
-    without any dispatch at all.
-    """
-
-    requested: int
-    unique: int
-    deduplicated: int
-    checkpointed: int = 0
-
-
-class SweepCheckpoint:
-    """JSON persistence of finished points, keyed by (network, spec, load).
-
-    The file is rewritten atomically (write-temp-then-rename) after each
-    completed point, so an interrupted sweep resumes from the last point
-    that finished, never from a torn file.
-
-    Loading is crash-tolerant too: a truncated, corrupt or structurally
-    alien checkpoint (e.g. a torn write from a pre-atomic tool, or a
-    file from a different schema) is logged, renamed to
-    ``<name>.corrupt`` beside the original, and the sweep restarts
-    cleanly from zero instead of raising.
-    """
-
-    def __init__(self, path: Union[str, Path]) -> None:
-        self.path = Path(path)
-        self._done: dict[str, LoadPoint] = {}
-        if self.path.exists():
-            try:
-                self._load()
-            except (json.JSONDecodeError, KeyError, TypeError, ValueError,
-                    AttributeError) as exc:
-                quarantined = self.path.with_name(self.path.name + ".corrupt")
-                serial = 0
-                while quarantined.exists():
-                    serial += 1
-                    quarantined = self.path.with_name(
-                        f"{self.path.name}.corrupt.{serial}"
-                    )
-                os.replace(self.path, quarantined)
-                self._done = {}
-                logger.warning(
-                    "checkpoint %s is corrupt (%s: %s); moved to %s, "
-                    "restarting the sweep from scratch",
-                    self.path, type(exc).__name__, exc, quarantined,
-                )
-
-    def _load(self) -> None:
-        payload = json.loads(self.path.read_text())
-        for key, entry in payload.get("points", {}).items():
-            self._done[key] = LoadPoint(
-                entry["offered_load"],
-                measurement_from_dict(entry["measurement"]),
-            )
-
-    def __len__(self) -> int:
-        return len(self._done)
-
-    def get(self, task: PointTask) -> Optional[LoadPoint]:
-        """The finished point for this task, if checkpointed."""
-        return self._done.get(_task_key(task))
-
-    def record(self, task: PointTask, point: LoadPoint) -> None:
-        """Persist one finished point (errored points are not kept:
-        a resume should re-attempt them)."""
-        if not point.ok:
-            return
-        self._done[_task_key(task)] = point
-        self._flush()
-
-    def _flush(self) -> None:
-        payload = {
-            "version": 1,
-            "points": {
-                key: {
-                    "offered_load": p.offered_load,
-                    "measurement": measurement_to_dict(p.measurement),
-                }
-                for key, p in self._done.items()
-            },
-        }
-        fd, tmp = tempfile.mkstemp(
-            dir=str(self.path.parent), prefix=self.path.name, suffix=".tmp"
-        )
-        try:
-            with os.fdopen(fd, "w") as fh:
-                json.dump(payload, fh)
-            os.replace(tmp, self.path)
-        except BaseException:
-            if os.path.exists(tmp):
-                os.unlink(tmp)
-            raise
-
-
-# ---------------------------------------------------------------- execution
-
-
-def _format_error(exc: BaseException) -> str:
-    return f"{type(exc).__name__}: {exc}"
-
-
-def _run_tasks(
-    tasks: Sequence[PointTask],
-    max_workers: Optional[int],
-    timeout: Optional[float],
-    retries: int,
-    backoff: float,
-    point_runner: PointRunner,
-    checkpoint: Optional[SweepCheckpoint],
-    progress: Optional[ProgressFn] = None,
-) -> tuple[list[LoadPoint], DispatchStats]:
-    """Run every task crash-tolerantly; returns points in task order.
-
-    Identical tasks -- same ``(network, spec, load)`` key -- are folded
-    onto one representative before dispatch, so a spec that names the
-    same point twice simulates it once; every duplicate index receives
-    the representative's result.  The fold is reported in the returned
-    :class:`DispatchStats`.
-    """
-    total = len(tasks)
-
-    # Dedupe: first index with a given key computes, the rest fan out.
-    rep_of_key: dict[str, int] = {}
-    fanout: list[int] = []
-    for i, task in enumerate(tasks):
-        fanout.append(rep_of_key.setdefault(_task_key(task), i))
-    unique_idx = [i for i, rep in enumerate(fanout) if rep == i]
-    if len(unique_idx) < total:
-        logger.info(
-            "deduplicated %d duplicate point(s): %d requested -> %d dispatched",
-            total - len(unique_idx), total, len(unique_idx),
-        )
-
-    def _tick(i: int) -> None:
-        if progress is not None:
-            progress(len(results), len(unique_idx), _task_key(tasks[i]))
-
-    results: dict[int, LoadPoint] = {}
-    pending_idx: list[int] = []
-    checkpointed = 0
-    if checkpoint is not None:
-        for i in unique_idx:
-            done = checkpoint.get(tasks[i])
-            if done is not None:
-                results[i] = done
-                checkpointed += 1
-                _tick(i)
-            else:
-                pending_idx.append(i)
-    else:
-        pending_idx = list(unique_idx)
-    stats = DispatchStats(
-        requested=total,
-        unique=len(unique_idx),
-        deduplicated=total - len(unique_idx),
-        checkpointed=checkpointed,
-    )
-
-    failed: dict[int, str] = {}
-    if pending_idx:
-        pool = ProcessPoolExecutor(max_workers=max_workers)
-        abandoned = False
-        try:
-            if timeout is not None:
-                # Per-point wall-clock limit, enforced by SIGALRM inside
-                # each worker; the phase deadline below is the backstop.
-                future_of = {
-                    pool.submit(
-                        _alarmed_runner, (point_runner, timeout, tasks[i])
-                    ): i
-                    for i in pending_idx
-                }
-                workers = max_workers or os.cpu_count() or 1
-                waves = -(-len(pending_idx) // workers)  # ceil division
-                # Wall-clock backstop for wedged worker processes.
-                deadline = time.monotonic() + timeout * waves + 5.0  # lint-sim: ignore[RPV002]
-            else:
-                future_of = {
-                    pool.submit(point_runner, tasks[i]): i
-                    for i in pending_idx
-                }
-                deadline = None
-            outstanding = set(future_of)
-            while outstanding:
-                remaining = (
-                    None if deadline is None else deadline - time.monotonic()  # lint-sim: ignore[RPV002]
-                )
-                if remaining is not None and remaining <= 0:
-                    for fut in outstanding:  # stuck past even the backstop
-                        fut.cancel()
-                        failed[future_of[fut]] = (
-                            f"TimeoutError: phase deadline exceeded "
-                            f"({timeout}s per point)"
-                        )
-                    abandoned = True
-                    break
-                done, outstanding = wait(
-                    outstanding, timeout=remaining, return_when=FIRST_COMPLETED
-                )
-                for fut in done:
-                    i = future_of[fut]
-                    try:
-                        point = fut.result()
-                    except Exception as exc:  # worker crash
-                        failed[i] = _format_error(exc)
-                    else:
-                        results[i] = point
-                        if checkpoint is not None:
-                            checkpoint.record(tasks[i], point)
-                        _tick(i)
-        finally:
-            # A hung worker must not wedge the parent: abandon the pool
-            # without joining when we timed out (workers are reaped at
-            # interpreter exit); join normally otherwise.
-            pool.shutdown(wait=not abandoned, cancel_futures=True)
-
-    # Sequential retry of the casualties, with exponential backoff: a
-    # transiently failing point (OOM-killed worker, flaky machine)
-    # usually succeeds in the parent.
-    for i, first_error in sorted(failed.items()):
-        error = first_error
-        point: Optional[LoadPoint] = None
-        for attempt in range(retries):
-            if backoff > 0:
-                time.sleep(backoff * (2.0**attempt))
-            try:
-                point = point_runner(tasks[i])
-                break
-            except Exception as exc:
-                error = _format_error(exc)
-        if point is not None:
-            results[i] = point
-            if checkpoint is not None:
-                checkpoint.record(tasks[i], point)
-        else:
-            results[i] = LoadPoint(tasks[i][2], None, error=error)
-        _tick(i)
-
-    # Fan the representatives' results out to their duplicates.
-    return [results[fanout[i]] for i in range(len(tasks))], stats
-
-
-# ------------------------------------------------------------- entry points
+    run_cfg = point.run.with_seed(point.seed)
+    lp = point_runner((point.network, point.workload, point.load, run_cfg))
+    return {
+        "version": PAYLOAD_VERSION,
+        "measurement": measurement_to_dict(lp.measurement),
+    }
 
 
 def parallel_sweep(
@@ -397,35 +66,17 @@ def parallel_sweep(
     max_workers: Optional[int] = None,
     timeout: Optional[float] = None,
     retries: int = 1,
-    backoff: float = 0.0,
-    checkpoint: Union[None, str, Path, SweepCheckpoint] = None,
-    point_runner: PointRunner = _point_task,
+    cache: Union[None, str, Path] = None,
+    point_runner: Optional[PointRunner] = None,
     progress: Optional[ProgressFn] = None,
 ) -> SweepResult:
-    """Offered-load sweep with one process per point.
-
-    ``timeout`` is a per-point wall-clock limit in seconds (cooperative
-    deadline inside the worker's simulation loop, SIGALRM backstop in
-    main threads, and a whole-phase backstop for uninterruptible
-    hangs);
-    ``retries``/``backoff`` re-run crashed points sequentially;
-    ``checkpoint`` names a JSON file for resume; ``progress`` is called
-    as ``progress(done, total, label)`` after every settled point (see
-    :class:`repro.obs.progress.ProgressMeter`).  Crashed points come
-    back as ``LoadPoint(load, None, error=...)`` -- check
-    ``SweepResult.complete``.
-    """
-    loads = tuple(loads) if loads is not None else run_cfg.loads
-    tasks = [(network, spec, load, run_cfg) for load in loads]
-    ckpt = _coerce_checkpoint(checkpoint)
-    points, stats = _run_tasks(
-        tasks, max_workers, timeout, retries, backoff, point_runner, ckpt,
-        progress,
+    """Offered-load sweep of one network: :func:`parallel_matrix` with a
+    single row, labelled ``label`` when given."""
+    (result,) = parallel_matrix(
+        [network], spec, run_cfg, loads, max_workers, timeout, retries,
+        cache, point_runner, progress,
     )
-    return SweepResult(
-        label or f"{network.label} / {spec.label}", tuple(points),
-        dispatch=stats,
-    )
+    return result if label is None else dataclasses.replace(result, label=label)
 
 
 def parallel_matrix(
@@ -436,37 +87,67 @@ def parallel_matrix(
     max_workers: Optional[int] = None,
     timeout: Optional[float] = None,
     retries: int = 1,
-    backoff: float = 0.0,
-    checkpoint: Union[None, str, Path, SweepCheckpoint] = None,
-    point_runner: PointRunner = _point_task,
+    cache: Union[None, str, Path] = None,
+    point_runner: Optional[PointRunner] = None,
     progress: Optional[ProgressFn] = None,
 ) -> list[SweepResult]:
-    """Every (network, load) point of a comparison, one pool, all at once."""
-    loads = tuple(loads) if loads is not None else run_cfg.loads
-    tasks = [
-        (network, spec, load, run_cfg)
-        for network in networks
-        for load in loads
-    ]
-    ckpt = _coerce_checkpoint(checkpoint)
-    flat, stats = _run_tasks(
-        tasks, max_workers, timeout, retries, backoff, point_runner, ckpt,
-        progress,
+    """Every (network, load) point of a comparison as one service job.
+
+    ``max_workers`` defaults to the CPU count.  ``timeout`` seconds is
+    both the cooperative per-point deadline and the heartbeat age at
+    which a wedged worker is killed.  ``retries`` extra attempts follow
+    the supervisor's backoff.  ``cache`` defaults to a temporary
+    directory.  ``SweepResult.dispatch`` is the manifest's ``counts``.
+    """
+    # repro.serve imports repro.experiments, so it loads on first use.
+    from repro.serve import SweepService
+    from repro.serve.compute import run_point_spec
+    from repro.serve.job import JobSpec
+    from repro.serve.supervisor import DEFAULT_RETRY, SupervisePolicy
+
+    job = JobSpec(
+        networks=tuple(networks),
+        run=run_cfg,
+        workload=spec,
+        loads=tuple(loads) if loads is not None else run_cfg.loads,
+        seeds=(run_cfg.seed,),
+        engine=resolve_engine(None),
     )
-    out = []
-    for i, network in enumerate(networks):
-        chunk = tuple(flat[i * len(loads) : (i + 1) * len(loads)])
-        out.append(
-            SweepResult(
-                f"{network.label} / {spec.label}", chunk, dispatch=stats
-            )
+    policy = SupervisePolicy(
+        workers=max_workers or os.cpu_count() or 1,
+        retry=dataclasses.replace(DEFAULT_RETRY, max_attempts=1 + retries),
+        point_timeout=timeout,
+        stall_after=SupervisePolicy.stall_after if timeout is None else timeout,
+    )
+    runner = (
+        run_point_spec if point_runner is None
+        else functools.partial(_task_payload, point_runner)
+    )
+    if cache is None:
+        root = tempfile.TemporaryDirectory(prefix="repro-sweep-")
+    else:
+        root = nullcontext(cache)
+    with root as cache_dir:
+        service = SweepService(
+            cache_dir, policy=policy, runner=runner, progress=progress,
         )
-    return out
+        manifest = service.run_job_sync(job)
+        points = []
+        for entry in manifest.points:
+            payload = service.cache.get(entry["key"])
+            if payload is None:
+                error = entry.get("error", f"point {entry['status']}")
+                points.append(LoadPoint(entry["load"], None, error=error))
+            else:
+                measurement = measurement_from_dict(payload["measurement"])
+                points.append(LoadPoint(entry["load"], measurement))
 
-
-def _coerce_checkpoint(
-    checkpoint: Union[None, str, Path, SweepCheckpoint],
-) -> Optional[SweepCheckpoint]:
-    if checkpoint is None or isinstance(checkpoint, SweepCheckpoint):
-        return checkpoint
-    return SweepCheckpoint(checkpoint)
+    width = len(job.effective_loads)
+    return [
+        SweepResult(
+            f"{network.label} / {spec.label}",
+            tuple(points[i * width:(i + 1) * width]),
+            dispatch=manifest.counts,
+        )
+        for i, network in enumerate(job.networks)
+    ]

@@ -62,9 +62,9 @@ class PointTimeout(TimeoutError):
 
 
 #: Per-thread wall-clock deadline for the *current* point, as a
-#: ``time.monotonic()`` instant.  Thread-local so worker threads (e.g.
-#: the parallel runner's in-thread retries, or tests) time out
-#: independently; SIGALRM cannot do that (main thread only).
+#: ``time.monotonic()`` instant.  Thread-local so each thread that runs
+#: points (a supervised worker's main thread, or a test's pool thread)
+#: times out independently.
 _point_deadline = threading.local()
 
 
@@ -112,8 +112,8 @@ def _check_point_deadline() -> None:
 class LoadPoint:
     """One sweep point: requested load plus the measured window.
 
-    A point that crashed in a fault-tolerant parallel run carries
-    ``measurement=None`` and the worker's error string instead (see
+    A point that failed in a parallel run carries ``measurement=None``
+    and the worker's error string instead (see
     :func:`repro.experiments.parallel.parallel_sweep`).
     """
 
@@ -131,12 +131,11 @@ class LoadPoint:
 class SweepResult:
     """A full offered-load sweep for one (network, workload) series.
 
-    ``dispatch`` reports how the parallel runner served the sweep
-    (requested vs unique points, dedupe and checkpoint-resume counts;
-    see :class:`repro.experiments.parallel.DispatchStats`).  It is
-    None for sequential sweeps and excluded from equality so a
-    deduplicated parallel sweep still compares equal to its sequential
-    twin.
+    ``dispatch`` reports how the parallel runner served the sweep: the
+    job manifest's ``counts`` mapping (requested, unique, deduplicated,
+    cached, computed, failed and pending points).  It is None for
+    sequential sweeps and excluded from equality so a deduplicated
+    parallel sweep still compares equal to its sequential twin.
     """
 
     label: str

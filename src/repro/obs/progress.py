@@ -1,11 +1,12 @@
 """Live progress heartbeat for long sweeps.
 
 A :class:`ProgressMeter` is a callable ``meter(done, total, label)``
-that the parallel experiment runner invokes after every completed point
-(see :func:`repro.experiments.parallel.parallel_sweep`).  It prints a
+that the sweep service invokes after every computed point, with the
+point's label (see :class:`repro.serve.SweepService` and
+:func:`repro.experiments.parallel.parallel_sweep`).  It prints a
 throttled one-line heartbeat to stderr -- completed/total, percentage,
 points/minute, and an ETA -- so multi-hour sweeps are observable without
-tailing checkpoint files.
+tailing the result cache.
 
 Wall-clock reads here are harness-side only (they never feed back into
 the simulation), hence the RPV002 lint exemptions.

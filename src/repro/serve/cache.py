@@ -24,8 +24,7 @@ detected.  A bad entry is **quarantined** (moved aside, never deleted
 caller transparently recompute; the rewrite then heals the cache.
 
 Writes are write-temp-then-rename into the entry's final directory, so
-a crash mid-write never leaves a torn entry under a valid name (the
-same discipline as the PR 1 sweep checkpoints).
+a crash mid-write never leaves a torn entry under a valid name.
 """
 
 from __future__ import annotations

@@ -22,8 +22,8 @@ and serves :class:`~repro.serve.job.JobSpec` requests:
 re-canonicalizes to the same hashes and hits the cache for everything
 that finished, recomputing only what was in flight.  There is no
 separate journal to replay -- the content-addressed cache *is* the
-checkpoint, with stronger integrity guarantees than the PR 1 sweep
-checkpoint it generalizes.
+checkpoint, for jobs and for :mod:`repro.experiments.parallel` sweeps
+alike.
 
 Async usage::
 
@@ -48,7 +48,7 @@ from typing import Callable, Optional, Union
 from repro.obs.progress import ProgressMeter
 from repro.serve.cache import ResultCache
 from repro.serve.compute import run_point_spec
-from repro.serve.job import JobManifest, JobSpec, summarize_points
+from repro.serve.job import JobManifest, JobSpec, PointSpec, summarize_points
 from repro.serve.supervisor import (
     PointOutcome,
     SupervisePolicy,
@@ -123,7 +123,7 @@ class SweepService:
         points = spec.points()
 
         # Canonicalize + dedupe: identical points collapse to one key.
-        unique: dict[str, object] = {}
+        unique: dict[str, PointSpec] = {}
         for p in points:
             unique.setdefault(p.key(), p)
         statuses: dict[str, str] = {}
@@ -148,7 +148,7 @@ class SweepService:
                 self.cache.put(key, outcome.payload)
             done_counter["n"] += 1
             if self.progress is not None:
-                self.progress(done_counter["n"], total, key[:12])
+                self.progress(done_counter["n"], total, unique[key].label)
 
         supervisor_counters: dict = {}
         interrupted = False

@@ -12,7 +12,9 @@ workers directly:
   beat).  Wedged workers are killed and their point re-dispatched;
 * **death recovery** -- a worker that dies (SIGKILL, OOM, segfault) is
   detected by ``Process.is_alive()``, respawned into the same slot, and
-  its in-flight point retried on the fresh worker;
+  its in-flight point retried on the fresh worker.  Each worker reports
+  over its own pipe, so a worker killed mid-message cannot leave a
+  shared queue lock held and silence the others;
 * **retry with backoff** -- failed attempts re-dispatch after
   :meth:`repro.faults.recovery.RetryPolicy.nominal_delay` (the same
   schedule the in-simulation source retry uses, in wall seconds);
@@ -42,6 +44,8 @@ import os
 import queue as queue_mod
 import time
 from dataclasses import dataclass, field
+from multiprocessing.connection import Connection
+from multiprocessing.connection import wait as wait_for
 from typing import Callable, Optional, Sequence
 
 from repro.experiments.runner import set_point_deadline, set_point_heartbeat
@@ -141,17 +145,18 @@ def _format_error(exc: BaseException) -> str:
 def _worker_main(
     worker_id: int,
     task_q: "queue_mod.Queue[object]",
-    result_q: "queue_mod.Queue[tuple]",
+    results: Connection,
     beats: Sequence[float],
     runner: Callable[[object], object],
     point_timeout: Optional[float],
 ) -> None:
     """One worker process: pull tasks until the ``None`` sentinel.
 
-    Protocol on ``result_q`` (all tuples lead with the message kind):
-    ``("start", worker_id, key)`` before computing,
-    ``("done", worker_id, key, payload)`` /
-    ``("error", worker_id, key, error_str)`` after.
+    Protocol on the worker's own ``results`` pipe (all tuples lead with
+    the message kind): ``("start", key)`` before computing,
+    ``("done", key, payload)`` / ``("error", key, error_str)`` after.
+    Sends are synchronous, so nothing is left half-written when the
+    point kills the worker.
     """
     slot = HeartbeatSlot(beats, worker_id)
     while True:
@@ -160,16 +165,16 @@ def _worker_main(
             return
         key, task = item
         slot.beat()
-        result_q.put(("start", worker_id, key))
+        results.send(("start", key))
         set_point_heartbeat(slot.beat)
         if point_timeout is not None:
             set_point_deadline(point_timeout)
         try:
             payload = runner(task)
         except BaseException as exc:  # report everything; parent decides
-            result_q.put(("error", worker_id, key, _format_error(exc)))
+            results.send(("error", key, _format_error(exc)))
         else:
-            result_q.put(("done", worker_id, key, payload))
+            results.send(("done", key, payload))
         finally:
             set_point_deadline(None)
             set_point_heartbeat(None)
@@ -182,6 +187,7 @@ class _Worker:
 
     index: int
     proc: multiprocessing.Process
+    results: Connection              # read end of the worker's pipe
     current: Optional[str] = None    # key in flight on this worker
     started: float = 0.0             # dispatch instant of `current`
 
@@ -241,27 +247,37 @@ class WorkerSupervisor:
         )
         ctx = multiprocessing.get_context(method)
         task_q = ctx.Queue()
-        result_q = ctx.Queue()
-        beats = ctx.RawArray("d", policy.workers)
+        # A short job forks no idle workers: one per task at most, or
+        # two when hedging, whose twin needs a free worker.
+        per_task = 1 if policy.hedge_after is None else 2
+        n_workers = min(policy.workers, per_task * len(tasks_by_key))
+        beats = ctx.RawArray("d", n_workers)
         # The parent never touches the raw array directly (RPV009):
         # slot accessors keep the liveness protocol -- never-beaten
         # sentinel, monotonic source, age semantics -- in one place.
-        slots = [HeartbeatSlot(beats, i) for i in range(policy.workers)]
+        slots = [HeartbeatSlot(beats, i) for i in range(n_workers)]
 
         def spawn(index: int) -> _Worker:
+            reader, writer = ctx.Pipe(duplex=False)
             proc = ctx.Process(
                 target=_worker_main,
                 args=(
-                    index, task_q, result_q, beats,
+                    index, task_q, writer, beats,
                     self.runner, policy.point_timeout,
                 ),
                 daemon=True,
             )
             proc.start()
+            # Only the worker writes: once it exits, reads see EOF.
+            writer.close()
             slots[index].beat()
-            return _Worker(index=index, proc=proc)
+            return _Worker(index=index, proc=proc, results=reader)
 
-        workers = [spawn(i) for i in range(policy.workers)]
+        def respawn(w: _Worker) -> _Worker:
+            w.results.close()
+            return spawn(w.index)
+
+        workers = [spawn(i) for i in range(n_workers)]
 
         unsettled = set(tasks_by_key)
         attempts: dict[str, int] = {k: 0 for k in tasks_by_key}
@@ -322,7 +338,7 @@ class WorkerSupervisor:
                 while (
                     ready
                     and ready[0][0] <= now
-                    and queued < policy.workers
+                    and queued < n_workers
                 ):
                     _, _, key = heapq.heappop(ready)
                     if key not in unsettled:
@@ -332,20 +348,20 @@ class WorkerSupervisor:
                     queued += 1
                     self._event("dispatch", key=key, attempt=attempts[key])
 
-                # Drain results (block briefly on the first).
-                drained_any = False
-                block = True
-                while True:
+                # Drain results (wait briefly for the first).
+                messages = []
+                readable = wait_for([w.results for w in workers], policy.poll_interval)
+                for w in workers:
+                    if w.results not in readable:
+                        continue
                     try:
-                        msg = result_q.get(
-                            timeout=policy.poll_interval if block else 0
-                        )
-                    except queue_mod.Empty:
-                        break
-                    block = False
-                    drained_any = True
-                    kind, wid, key = msg[0], msg[1], msg[2]
-                    w = workers[wid]
+                        while w.results.poll():
+                            messages.append((w, w.results.recv()))
+                    except (EOFError, OSError):
+                        pass  # the worker died; the liveness sweep respawns it
+                for w, msg in messages:
+                    kind, key = msg[0], msg[1]
+                    wid = w.index
                     if kind == "start":
                         queued = max(0, queued - 1)
                         w.current = key
@@ -357,15 +373,15 @@ class WorkerSupervisor:
                         inflight[key].discard(wid)
                         if key in unsettled:
                             settle(PointOutcome(
-                                key, "ok", payload=msg[3],
+                                key, "ok", payload=msg[2],
                                 attempts=attempts[key],
                             ))
                     elif kind == "error":
                         if w.current == key:
                             w.current = None
                         inflight[key].discard(wid)
-                        record_failure(key, msg[3])
-                if drained_any:
+                        record_failure(key, msg[2])
+                if messages:
                     last_progress = time.monotonic()  # lint-sim: ignore[RPV002] -- harness scheduling, not sim state
 
                 # Liveness sweep: deaths, wedges, stragglers.
@@ -379,7 +395,7 @@ class WorkerSupervisor:
                             "worker_death", worker=w.index, key=key,
                             exitcode=exitcode,
                         )
-                        workers[w.index] = spawn(w.index)
+                        workers[w.index] = respawn(w)
                         if key is not None:
                             inflight[key].discard(w.index)
                             record_failure(
@@ -400,7 +416,7 @@ class WorkerSupervisor:
                             beat_age=beat_age,
                         )
                         kill_worker(w)
-                        workers[w.index] = spawn(w.index)
+                        workers[w.index] = respawn(w)
                         inflight[key].discard(w.index)
                         record_failure(
                             key,
@@ -466,9 +482,9 @@ class WorkerSupervisor:
                 if w.proc.is_alive():
                     kill_worker(w)
             task_q.cancel_join_thread()
-            result_q.cancel_join_thread()
             task_q.close()
-            result_q.close()
+            for w in workers:
+                w.results.close()
 
         report.elapsed_s = time.monotonic() - t0  # lint-sim: ignore[RPV002] -- harness timing, not sim state
         return report

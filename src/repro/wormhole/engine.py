@@ -83,7 +83,9 @@ def resolve_engine(engine: Optional[str] = None) -> str:
     and the default is ``"fast"``: the span-sleep tier that needs no
     optional dependency.  The environment variable -- not a
     thread-local or global -- is the carrier so the choice survives
-    into :mod:`repro.experiments.parallel` worker processes unchanged.
+    into child processes unchanged;
+    :func:`repro.experiments.parallel.parallel_matrix` resolves it once
+    and records the tier in its sweep-service job.
     """
     if engine is None:
         engine = os.environ.get("REPRO_ENGINE", "") or "fast"

@@ -1,20 +1,25 @@
-"""Tests for the declarative workload specs and the parallel runner."""
+"""Tests for the declarative workload specs and the parallel runner.
+
+The parallel runner is a front end over :mod:`repro.serve`, so the
+runners below reach the supervised workers: they are module-level (they
+cross the process boundary) and coordinate crash drills through
+sentinel files named by environment variables, which forked workers
+inherit.
+"""
 
 import os
+import signal
 import time
 from dataclasses import replace
+from pathlib import Path
 
 import pytest
 
 from repro.experiments.config import SMOKE, NetworkConfig
-from repro.experiments.parallel import (
-    SweepCheckpoint,
-    _point_task,
-    parallel_matrix,
-    parallel_sweep,
-)
-from repro.experiments.runner import sweep
+from repro.experiments.parallel import parallel_matrix, parallel_sweep
+from repro.experiments.runner import LoadPoint, run_point, sweep
 from repro.experiments.workload_spec import WorkloadSpec
+from repro.serve.cache import ResultCache
 
 QUICK = replace(SMOKE, warmup_packets=20, measure_packets=100, loads=(0.2, 0.5))
 
@@ -22,12 +27,17 @@ QUICK = replace(SMOKE, warmup_packets=20, measure_packets=100, loads=(0.2, 0.5))
 # Module-level so they pickle into worker processes.
 
 
+def _measure(task):
+    network, spec, load, run_cfg = task
+    return LoadPoint(load, run_point(network, spec.builder(run_cfg), load, run_cfg))
+
+
 def crashing_runner(task):
     """Dies on the 0.5 point, measures the rest."""
     _network, _spec, load, _cfg = task
     if load == 0.5:
         raise RuntimeError("simulated worker crash")
-    return _point_task(task)
+    return _measure(task)
 
 
 def always_crashing_runner(task):
@@ -36,31 +46,37 @@ def always_crashing_runner(task):
 
 def flaky_runner(task):
     """Crashes until the sentinel file exists (created on first call):
-    the pool attempt dies, the parent's sequential retry succeeds."""
+    the first attempt dies, the supervisor's retry succeeds."""
     sentinel = os.environ["REPRO_FLAKY_SENTINEL"]
     if not os.path.exists(sentinel):
         with open(sentinel, "w") as fh:
             fh.write("crashed once")
         raise OSError("transient failure")
-    return _point_task(task)
+    return _measure(task)
+
+
+def killing_runner(task):
+    """SIGKILLs its own worker on the 0.5 point's first attempt."""
+    _network, _spec, load, _cfg = task
+    sentinel = Path(os.environ["REPRO_KILL_SENTINEL"])
+    if load == 0.5 and not sentinel.exists():
+        sentinel.write_text("killed here")
+        os.kill(os.getpid(), signal.SIGKILL)
+    return _measure(task)
 
 
 def sleeping_runner(task):
     time.sleep(30.0)
-    return _point_task(task)  # pragma: no cover - killed by timeout
+    return _measure(task)  # pragma: no cover - killed as wedged
 
 
 def counting_runner(task):
-    """Tallies one line per invocation under REPRO_COUNT_DIR, per key."""
-    from pathlib import Path
-
-    from repro.experiments.parallel import _task_key
-
+    """Tallies one line per invocation under REPRO_COUNT_DIR, per point."""
+    network, _spec, load, _cfg = task
     outdir = Path(os.environ["REPRO_COUNT_DIR"])
-    name = _task_key(task).replace("/", "_").replace(" ", "")
-    with open(outdir / name, "a") as fh:
+    with open(outdir / f"{network.kind}-{load}", "a") as fh:
         fh.write("ran\n")
-    return _point_task(task)
+    return _measure(task)
 
 
 # ------------------------------------------------------------- WorkloadSpec
@@ -140,7 +156,7 @@ def test_parallel_matrix_structure():
 
 
 def test_worker_crash_keeps_other_points():
-    """A crashed worker loses its point, never the others: the result
+    """A crashed point loses only itself, never the others: the result
     is partial, with the error string attached to the casualty."""
     net = NetworkConfig("dmin", k=2, n=3)
     spec = WorkloadSpec(k=2, n=3)
@@ -160,21 +176,35 @@ def test_worker_crash_keeps_other_points():
 
 
 def test_sequential_retry_recovers_transient_crash(tmp_path, monkeypatch):
-    """A point that crashes once in the pool succeeds when the parent
-    re-runs it sequentially."""
+    """A point that crashes on its first attempt succeeds on the retry."""
     sentinel = tmp_path / "flaky.flag"
     monkeypatch.setenv("REPRO_FLAKY_SENTINEL", str(sentinel))
     net = NetworkConfig("dmin", k=2, n=3)
     spec = WorkloadSpec(k=2, n=3)
     result = parallel_sweep(
         net, spec, QUICK, loads=(0.2,), max_workers=1,
-        retries=2, backoff=0.0, point_runner=flaky_runner,
+        retries=2, point_runner=flaky_runner,
     )
     assert result.complete
     assert sentinel.exists()  # proof the first attempt crashed
     # Bit-identical to the sequential runner despite the detour.
     seq = sweep(net, spec.builder(QUICK), QUICK, loads=(0.2,))
     assert result.points == seq.points
+
+
+def test_sigkilled_worker_recovered_bit_identical(tmp_path, monkeypatch):
+    """A worker SIGKILLed mid-point is respawned and the point retried:
+    the sweep completes, bit-identical to the sequential runner."""
+    sentinel = tmp_path / "killed.flag"
+    monkeypatch.setenv("REPRO_KILL_SENTINEL", str(sentinel))
+    net = NetworkConfig("dmin", k=2, n=3)
+    spec = WorkloadSpec(k=2, n=3)
+    result = parallel_sweep(
+        net, spec, QUICK, max_workers=2, point_runner=killing_runner,
+    )
+    assert sentinel.exists()  # proof a worker died
+    assert result.complete
+    assert result.points == sweep(net, spec.builder(QUICK), QUICK).points
 
 
 def test_cooperative_deadline_fires_inside_the_simulation_loop():
@@ -211,12 +241,11 @@ def test_deadline_validation_and_disarm():
 
 
 def test_cutoff_works_in_a_worker_thread():
-    """SIGALRM cannot be armed outside the main thread; the cooperative
-    deadline can.  _alarmed_runner in a thread pool must still cut the
-    point off (and must not die on signal.signal)."""
+    """The cooperative deadline is per thread, so it cuts off a point
+    running outside the main thread (where SIGALRM cannot be armed)."""
     from concurrent.futures import ThreadPoolExecutor
 
-    from repro.experiments.parallel import _alarmed_runner
+    from repro.experiments.runner import PointTimeout, set_point_deadline
 
     net = NetworkConfig("dmin", k=2, n=3)
     spec = WorkloadSpec(k=2, n=3)
@@ -224,61 +253,74 @@ def test_cutoff_works_in_a_worker_thread():
         QUICK, warmup_packets=10**9, measure_packets=10**9,
         max_cycles=10**9,
     )
-    task = (net, spec, 0.5, endless)
+
+    def endless_point():
+        set_point_deadline(0.3)
+        try:
+            return run_point(net, spec.builder(endless), 0.5, endless)
+        finally:
+            set_point_deadline(None)
+
     with ThreadPoolExecutor(max_workers=1) as pool:
-        fut = pool.submit(_alarmed_runner, (_point_task, 0.3, task))
-        with pytest.raises(TimeoutError):
+        fut = pool.submit(endless_point)
+        with pytest.raises(PointTimeout):
             fut.result(timeout=60)
 
 
 def test_per_point_timeout_converts_hang_to_error():
+    """A point that hangs outside the simulation loop never beats: the
+    supervisor kills its worker as wedged once ``timeout`` passes."""
     net = NetworkConfig("dmin", k=2, n=3)
     spec = WorkloadSpec(k=2, n=3)
+    t0 = time.monotonic()
     result = parallel_sweep(
         net, spec, QUICK, loads=(0.2,), max_workers=1,
         timeout=0.5, retries=0, point_runner=sleeping_runner,
     )
+    assert time.monotonic() - t0 < 10.0
     assert not result.complete
     (load, error) = result.errors()[0]
     assert load == 0.2
-    assert "TimeoutError" in error
+    assert "worker wedged" in error
 
 
-# ------------------------------------------------------- checkpoint / resume
+# ------------------------------------------------------------ cache / resume
 
 
 def test_checkpoint_resume_skips_finished_points(tmp_path):
-    """Second run with the same checkpoint recomputes nothing: a runner
+    """Second run over the same cache recomputes nothing: a runner
     that would crash on any invocation returns the first run's points."""
-    path = tmp_path / "sweep.json"
+    cache = tmp_path / "cache"
     net = NetworkConfig("dmin", k=2, n=3)
     spec = WorkloadSpec(k=2, n=3)
-    first = parallel_sweep(net, spec, QUICK, max_workers=2, checkpoint=path)
-    assert first.complete and path.exists()
+    first = parallel_sweep(net, spec, QUICK, max_workers=2, cache=cache)
+    assert first.complete
 
     resumed = parallel_sweep(
-        net, spec, QUICK, max_workers=2, checkpoint=path,
+        net, spec, QUICK, max_workers=2, cache=cache,
         point_runner=always_crashing_runner,
     )
     assert resumed == first
+    assert resumed.dispatch["computed"] == 0
 
 
 def test_checkpoint_completes_partial_run(tmp_path):
     """A run that crashed on one point leaves the finished points in
-    the checkpoint; the resume computes only the missing one."""
-    path = tmp_path / "sweep.json"
+    the cache; the resume computes only the missing one."""
+    cache = tmp_path / "cache"
     net = NetworkConfig("dmin", k=2, n=3)
     spec = WorkloadSpec(k=2, n=3)
     partial = parallel_sweep(
         net, spec, QUICK, max_workers=2, retries=0,
-        checkpoint=path, point_runner=crashing_runner,
+        cache=cache, point_runner=crashing_runner,
     )
     assert not partial.complete
-    assert len(SweepCheckpoint(path)) == 1      # only the ok point persisted
+    assert len(ResultCache(cache)) == 1         # only the ok point persisted
 
-    resumed = parallel_sweep(net, spec, QUICK, max_workers=2, checkpoint=path)
+    resumed = parallel_sweep(net, spec, QUICK, max_workers=2, cache=cache)
     assert resumed.complete
-    assert len(SweepCheckpoint(path)) == 2
+    assert (resumed.dispatch["cached"], resumed.dispatch["computed"]) == (1, 1)
+    assert len(ResultCache(cache)) == 2
     # And it matches a from-scratch sequential sweep.
     seq = sweep(net, spec.builder(QUICK), QUICK)
     assert resumed.points == seq.points
@@ -297,9 +339,9 @@ def test_duplicate_points_simulate_once(tmp_path, monkeypatch):
     assert result.complete and len(result.points) == 4
     assert result.points[1] == result.points[2]
     assert result.points[0] == result.points[3]
-    assert result.dispatch.requested == 4
-    assert result.dispatch.unique == 2
-    assert result.dispatch.deduplicated == 2
+    assert result.dispatch["requested"] == 4
+    assert result.dispatch["unique"] == 2
+    assert result.dispatch["deduplicated"] == 2
     # proof of a single simulation per unique point
     tallies = {p.name: len(p.read_text().splitlines())
                for p in tmp_path.iterdir()}
@@ -310,66 +352,46 @@ def test_duplicate_points_simulate_once(tmp_path, monkeypatch):
 
 
 def test_dispatch_stats_report_checkpoint_hits(tmp_path):
-    path = tmp_path / "sweep.json"
+    cache = tmp_path / "cache"
     net = NetworkConfig("dmin", k=2, n=3)
     spec = WorkloadSpec(k=2, n=3)
-    first = parallel_sweep(net, spec, QUICK, max_workers=2, checkpoint=path)
-    assert first.dispatch.checkpointed == 0
+    first = parallel_sweep(net, spec, QUICK, max_workers=2, cache=cache)
+    assert (first.dispatch["cached"], first.dispatch["computed"]) == (0, 2)
 
     resumed = parallel_sweep(
-        net, spec, QUICK, max_workers=2, checkpoint=path,
+        net, spec, QUICK, max_workers=2, cache=cache,
         point_runner=always_crashing_runner,
     )
-    assert resumed.dispatch.checkpointed == 2
-    assert resumed.dispatch.unique == 2       # distinct keys, all from disk
-    assert resumed.dispatch.deduplicated == 0
+    assert resumed.dispatch["cached"] == 2
+    assert resumed.dispatch["unique"] == 2    # distinct keys, all from disk
+    assert resumed.dispatch["deduplicated"] == 0
 
 
 @pytest.mark.parametrize(
-    "content",
+    "corrupt",
     [
-        '{"version": 1, "points": {"k"',            # truncated mid-write
-        "not json at all",
-        '{"version": 1, "points": {"k": {"nope": true}}}',  # alien schema
-        '["a", "list"]',
+        lambda raw: raw[: len(raw) // 2],                    # torn write
+        lambda raw: "not json at all",
+        lambda raw: '{"version": 1, "points": {"k": {"nope": true}}}',
+        lambda raw: '["a", "list"]',
     ],
     ids=["truncated", "garbage", "bad_schema", "not_object"],
 )
-def test_corrupt_checkpoint_quarantined_and_restarted(tmp_path, content, caplog):
-    """A corrupt checkpoint never raises: it is renamed to *.corrupt,
-    logged, and the sweep restarts (and re-persists) cleanly."""
-    import logging
-
-    path = tmp_path / "sweep.json"
-    path.write_text(content)
+def test_corrupt_checkpoint_quarantined_and_restarted(tmp_path, corrupt):
+    """A corrupt cache entry never raises: it is moved to the cache's
+    quarantine, and the resume recomputes exactly that point."""
+    cache_dir = tmp_path / "cache"
     net = NetworkConfig("dmin", k=2, n=3)
     spec = WorkloadSpec(k=2, n=3)
-    with caplog.at_level(logging.WARNING, logger="repro.experiments.parallel"):
-        result = parallel_sweep(net, spec, QUICK, max_workers=2, checkpoint=path)
-    assert result.complete
-    assert (tmp_path / "sweep.json.corrupt").read_text() == content
-    assert any("corrupt" in r.message for r in caplog.records)
-    # the fresh checkpoint is healthy and resumable
-    assert len(SweepCheckpoint(path)) == 2
+    first = parallel_sweep(net, spec, QUICK, max_workers=2, cache=cache_dir)
+    cache = ResultCache(cache_dir)
+    (entry, _) = sorted(p for p in cache_dir.glob("??/*.json"))
+    content = corrupt(entry.read_text())
+    entry.write_text(content)
 
-
-def test_repeated_corruption_keeps_all_evidence(tmp_path):
-    path = tmp_path / "sweep.json"
-    for round_no in range(2):
-        path.write_text(f"garbage round {round_no}")
-        assert len(SweepCheckpoint(path)) == 0
-    assert (tmp_path / "sweep.json.corrupt").exists()
-    assert (tmp_path / "sweep.json.corrupt.1").exists()
-
-
-def test_checkpoint_file_is_valid_json_and_atomic(tmp_path):
-    import json
-
-    path = tmp_path / "sweep.json"
-    net = NetworkConfig("dmin", k=2, n=3)
-    spec = WorkloadSpec(k=2, n=3)
-    parallel_sweep(net, spec, QUICK, max_workers=2, checkpoint=path)
-    payload = json.loads(path.read_text())
-    assert payload["version"] == 1
-    assert len(payload["points"]) == 2
-    assert not list(tmp_path.glob("*.tmp"))     # no torn temp files left
+    resumed = parallel_sweep(net, spec, QUICK, max_workers=2, cache=cache_dir)
+    assert resumed == first
+    assert (resumed.dispatch["cached"], resumed.dispatch["computed"]) == (1, 1)
+    (evidence,) = cache.quarantine_dir.iterdir()
+    assert evidence.read_text() == content
+    assert len(cache) == 2                      # the slot healed

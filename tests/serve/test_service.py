@@ -97,6 +97,24 @@ def test_cached_payloads_match_in_process_run(tmp_path):
         assert payload_json(cached) == payload_json(run_point_spec(point))
 
 
+def test_progress_names_each_point(tmp_path):
+    """Progress heartbeats carry the point's readable label."""
+    spec = _tiny_spec()
+    calls = []
+    manifest = _service(
+        tmp_path, progress=lambda done, total, label: calls.append(
+            (done, total, label)
+        ),
+    ).run_job_sync(spec)
+    assert manifest.complete
+    assert [(done, total) for done, total, _ in calls] == [
+        (1, 4), (2, 4), (3, 4), (4, 4)
+    ]
+    labels = sorted(label for _, _, label in calls)
+    assert labels == sorted({p.label for p in spec.points()})
+    assert labels[0].startswith("DMIN(d=2, cube)/uniform@0.2#s")
+
+
 # ----------------------------------------------------------- warm resume
 
 

@@ -128,6 +128,27 @@ def test_wind_down_never_waits_out_the_join_deadline():
         assert report.elapsed_s < 1.5, f"job {job} took {report.elapsed_s:.2f}s"
 
 
+def test_spawns_no_more_workers_than_tasks():
+    """A one-task job forks one worker, whatever ``policy.workers`` says."""
+    import multiprocessing
+
+    before = {p.pid for p in multiprocessing.active_children()}
+    live = []
+
+    def count_children(key, outcome):
+        live.append(len(
+            {p.pid for p in multiprocessing.active_children()} - before
+        ))
+
+    report = WorkerSupervisor(
+        _echo_runner,
+        SupervisePolicy(workers=4, retry=FAST_RETRY),
+        on_result=count_children,
+    ).run([("k", {"value": 1})])
+    assert report.complete
+    assert live == [1]
+
+
 def test_on_result_called_per_settled_point():
     seen = {}
     sup = WorkerSupervisor(
@@ -282,6 +303,7 @@ def test_hedged_straggler_first_result_wins(tmp_path, monkeypatch):
     assert report.complete
     assert report.hedges == 1
     assert report.results["only"] == {"value": 1}
+    assert report.elapsed_s < 10.0  # the twin ran on a spare worker
 
 
 # -------------------------------------------------------------- stop path
