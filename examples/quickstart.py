@@ -10,13 +10,13 @@ Run:  python examples/quickstart.py [tmin|dmin|vmin|bmin] [load]
 
 import sys
 
-from repro.experiments.runner import _run_until_delivered
-from repro.metrics.collector import MeasurementWindow
+from repro.experiments.config import SCALED
+from repro.experiments.runner import install_workload, measure, warm_up
 from repro.sim import Environment
 from repro.sim.rng import RandomStream
 from repro.traffic.clusters import global_cluster
 from repro.traffic.patterns import UniformPattern
-from repro.traffic.workload import MessageSizeModel, Workload
+from repro.traffic.workload import Workload
 from repro.wormhole import WormholeEngine, build_network
 
 
@@ -31,23 +31,20 @@ def main() -> None:
     engine = WormholeEngine(env, network, rng=RandomStream(42, "engine"))
 
     # 2. Uniform Poisson traffic at the requested offered load, with
-    #    short messages so the example finishes in seconds (use
-    #    MessageSizeModel.paper() for the paper's 8-1024 flits).
+    #    the scaled preset's short messages so the example finishes in
+    #    seconds (MessageSizeModel.paper() has the paper's 8-1024 flits).
     workload = Workload(
         global_cluster(),
         UniformPattern,
         offered_load=load,
-        sizes=MessageSizeModel.scaled(),
+        sizes=SCALED.sizes,
     )
-    workload.install(env, engine, RandomStream(42, "workload"))
-    engine.start()
+    install_workload(engine, workload, RandomStream(42, "workload"))
 
-    # 3. Warm up, then measure a steady-state window.
-    _run_until_delivered(engine, target=300, deadline=50_000)
-    window = MeasurementWindow(engine)
-    window.begin()
-    _run_until_delivered(engine, target=300 + 1_500, deadline=env.now + 100_000)
-    m = window.finish()
+    # 3. Warm up for 300 deliveries, then measure a steady-state window
+    #    of 1,500 deliveries (the scaled preset's protocol).
+    warm_up(engine, SCALED)
+    m, _ = measure(engine, SCALED)
 
     print(f"network : {kind.upper()} (64 nodes, 4x4 switches, 3 stages)")
     print(f"load    : {load:.0%} of injection bandwidth per node")

@@ -79,11 +79,10 @@ def _run_traced(args: argparse.Namespace, run_cfg) -> int:
 
 def _run_replay(args: argparse.Namespace, run_cfg) -> int:
     """The --replay mode: recorded trace through the reliable transport."""
-    from repro.sim.core import Environment
-    from repro.sim.rng import RandomStream
+    from repro.experiments.runner import build_point, install_workload
     from repro.traffic.trace import TraceWorkload, read_trace
     from repro.transport import ReliableTransport
-    from repro.wormhole.engine import WormholeEngine, resolve_engine
+    from repro.wormhole.engine import resolve_engine
 
     trace = read_trace(args.replay)
     network = NetworkConfig(
@@ -92,22 +91,14 @@ def _run_replay(args: argparse.Namespace, run_cfg) -> int:
         vlink_slowdown=args.vlink_slowdown,
     )
     kind = resolve_engine(args.engine)
-    env = Environment(scheduler="heap" if kind == "reference" else "calendar")
-    root = RandomStream(run_cfg.seed, name="root")
+    env, engine, root = build_point(network, "replay", run_cfg, kind)
     label = network.label
-    engine = WormholeEngine(
-        env,
-        network.build(),
-        rng=root.fork(f"engine/{label}/replay"),
-        engine=kind,
-    )
     transport = ReliableTransport(
         engine, rng=root.fork(f"transport/{label}/replay")
     )
     workload = TraceWorkload(trace, transport=transport)
-    workload.install(env, engine, root.fork(f"workload/{label}/replay"))
     start = time.perf_counter()  # lint-sim: ignore[RPV002] -- harness wall time
-    engine.start()
+    install_workload(engine, workload, root.fork(f"workload/{label}/replay"))
     # Drive the replay process to exhaustion first -- it lives outside
     # both idle predicates until it hands messages to the transport --
     # then quiesce drains retransmissions, acks and backoff timers.
@@ -273,9 +264,10 @@ def main(argv: list[str] | None = None) -> int:
         "--engine",
         choices=ENGINE_KINDS,
         default=None,
-        help="execution path: the optimized default ('fast') or the "
-        "simple reference engine ('reference'); results are identical, "
-        "only wall-clock differs",
+        help="execution path: the optimized default ('fast'), 'fast' "
+        "plus the numpy-mirrored allocation RNG ('batch', needs the "
+        "repro[fast] extra) or the simple reference engine "
+        "('reference'); results are identical, only wall-clock differs",
     )
     args = parser.parse_args(argv)
     if args.engine:

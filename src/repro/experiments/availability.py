@@ -32,14 +32,12 @@ from typing import Optional, Sequence
 
 from repro.experiments.config import NetworkConfig, RunConfig
 from repro.experiments.report import ShapeCheck
-from repro.experiments.runner import _run_until_delivered
+from repro.experiments.runner import build_point, install_workload, measure, warm_up
+from repro.experiments.workload_spec import WorkloadSpec
 from repro.faults.mtbf import MTBFChurn
 from repro.faults.recovery import RetryPolicy, SourceRetry
-from repro.metrics.collector import Measurement, MeasurementWindow
-from repro.sim.core import Environment
+from repro.metrics.collector import Measurement
 from repro.traffic.workload import Workload
-from repro.sim.rng import RandomStream
-from repro.wormhole.engine import WormholeEngine
 
 #: Per-channel unavailability ladder the availability figure sweeps.
 FAULT_RATES = (0.0, 0.002, 0.005, 0.01, 0.02, 0.05)
@@ -91,52 +89,44 @@ def availability_point(
     severity: str = "hard",
 ) -> AvailabilityPoint:
     """Measure one network at one per-channel unavailability level."""
+    workload = WorkloadSpec(k=network.k, n=network.n).builder(run_cfg)(load)
+    policy = policy if policy is not None else RetryPolicy()
+    return faulted_point(
+        network, fault_rate, run_cfg, workload, fault_rate, mttr, policy, severity
+    )
+
+
+def faulted_point(
+    network: NetworkConfig,
+    key: object,
+    run_cfg: RunConfig,
+    workload: Workload,
+    fault_rate: float,
+    mttr: float,
+    policy: RetryPolicy,
+    severity: str,
+    engine: Optional[str] = None,
+) -> AvailabilityPoint:
+    """Run ``workload`` under MTBF channel churn with source retry.
+
+    The body of every faulted point: the availability sweep keys its
+    RNG forks by fault rate, a sweep-service point
+    (:func:`repro.serve.compute.run_point_spec`) by offered load.
+    """
     if not 0.0 <= fault_rate < 1.0:
         raise ValueError("fault_rate is an unavailability fraction in [0, 1)")
-    from repro.experiments.workload_spec import WorkloadSpec
-
-    env = Environment()
-    root = RandomStream(run_cfg.seed, name="root")
-    engine = WormholeEngine(
-        env,
-        network.build(),
-        rng=root.fork(f"engine/{network.label}/{fault_rate}"),
-    )
-    retry = SourceRetry(
-        engine,
-        policy if policy is not None else RetryPolicy(),
-        root.fork(f"retry/{network.label}/{fault_rate}"),
-    )
+    env, sim_engine, root = build_point(network, key, run_cfg, engine)
+    label = network.label
+    retry = SourceRetry(sim_engine, policy, root.fork(f"retry/{label}/{key}"))
     churn = None
     if fault_rate > 0.0:
-        mtbf = mttr * (1.0 - fault_rate) / fault_rate
-        churn = MTBFChurn(
-            env,
-            engine.network,
-            root.fork(f"faults/{network.label}/{fault_rate}"),
-            mtbf=mtbf,
-            mttr=mttr,
-            engine=engine,
-            severity=severity,
+        churn = MTBFChurn.from_unavailability(
+            env, sim_engine.network, root.fork(f"faults/{label}/{key}"),
+            fault_rate, mttr, engine=sim_engine, severity=severity,
         )
-    spec = WorkloadSpec(k=network.k, n=network.n)
-    workload: Workload = spec.builder(run_cfg)(load)
-    installed = workload.install(
-        env, engine, root.fork(f"workload/{network.label}/{fault_rate}")
-    )
-    if installed == 0:
-        raise RuntimeError("workload installed no traffic sources")
-    engine.start()
-
-    warmup_deadline = env.now + run_cfg.max_cycles / 4
-    _run_until_delivered(engine, run_cfg.warmup_packets, warmup_deadline)
-
-    window = MeasurementWindow(engine)
-    window.begin()
-    deadline = env.now + run_cfg.max_cycles
-    _run_until_delivered(engine, run_cfg.measure_packets, deadline)
-    measurement = window.finish()
-
+    install_workload(sim_engine, workload, root.fork(f"workload/{label}/{key}"))
+    warm_up(sim_engine, run_cfg)
+    measurement, _ = measure(sim_engine, run_cfg)
     return AvailabilityPoint(
         fault_rate=fault_rate,
         measurement=measurement,

@@ -5,6 +5,9 @@ warm up until ``warmup_packets`` deliveries, open a measurement window,
 run until ``measure_packets`` more deliveries (or the cycle budget runs
 out -- which near saturation it will; the window is still valid, the
 throughput simply reflects what the network sustained).
+
+Every point variant runs this lifecycle: :func:`build_point`, its own
+layers, then :func:`install_workload`, :func:`warm_up`, :func:`measure`.
 """
 
 from __future__ import annotations
@@ -27,11 +30,15 @@ WorkloadBuilder = Callable[[float], Workload]
 
 def build_point(
     network: NetworkConfig,
-    offered_load: float,
+    key: object,
     run_cfg: RunConfig,
     engine: Optional[str] = None,
 ) -> tuple[Environment, WormholeEngine, RandomStream]:
     """Construct the (env, engine, root RNG) triple of one point.
+
+    ``key`` labels the RNG forks: the engine's stream is
+    ``engine/<network label>/<key>`` and each layer forks
+    ``<layer>/<network label>/<key>`` from the root the same way.
 
     ``engine`` selects the execution path -- ``"fast"`` pairs the
     calendar scheduler with the optimized engine phases and span-sleep
@@ -48,7 +55,7 @@ def build_point(
     sim_engine = WormholeEngine(
         env,
         network.build(),
-        rng=root.fork(f"engine/{network.label}/{offered_load}"),
+        rng=root.fork(f"engine/{network.label}/{key}"),
         engine=kind,
     )
     return env, sim_engine, root
@@ -72,7 +79,7 @@ def set_point_deadline(seconds: Optional[float]) -> None:
     """Arm (or with None, disarm) a wall-clock limit for this thread.
 
     The limit is checked cooperatively inside the simulation loop
-    (:func:`_run_until_delivered`), every ``_CHUNK`` sim-cycles; a point
+    (:func:`warm_up`, :func:`measure`), every ``_CHUNK`` sim-cycles; a point
     past it raises :class:`PointTimeout`.  Wall clock is the right
     clock here: the limit guards the *experiment harness* against hung
     infrastructure, it is not part of the simulated model.
@@ -189,6 +196,50 @@ def _run_until_delivered(
         env.run(until=min(env.now + _CHUNK, deadline))
 
 
+def install_workload(engine: WormholeEngine, workload: Workload, rng: RandomStream) -> None:
+    """Install ``workload``'s sources (refusing none) and start ``engine``."""
+    installed = workload.install(engine.env, engine, rng)
+    if installed == 0:
+        raise RuntimeError("workload installed no traffic sources")
+    engine.start()
+
+
+def warm_up(engine: WormholeEngine, run_cfg: RunConfig) -> None:
+    """Run to ``warmup_packets`` deliveries, within max_cycles / 4."""
+    deadline = engine.env.now + run_cfg.max_cycles / 4
+    _run_until_delivered(engine, run_cfg.warmup_packets, deadline)
+
+
+def measure(
+    engine: WormholeEngine, run_cfg: RunConfig, batches: Optional[int] = None
+) -> tuple[Measurement, list[float]]:
+    """Run one measurement window; returns it with its batch series.
+
+    Without ``batches`` the window closes at ``measure_packets``
+    deliveries or after ``max_cycles``, and the series is empty.  With
+    them it runs ``max_cycles`` in ``batches`` equal batches, and the
+    series holds each batch's throughput in flits per node-cycle.
+    """
+    env = engine.env
+    stats = engine.stats
+    window = MeasurementWindow(engine)
+    window.begin()
+    series: list[float] = []
+    if batches is None:
+        deadline = env.now + run_cfg.max_cycles
+        _run_until_delivered(engine, run_cfg.measure_packets, deadline)
+    else:
+        batch_cycles = max(1.0, run_cfg.max_cycles / batches)
+        scale = engine.network.N * batch_cycles
+        prev_flits = stats.delivered_flits
+        for _ in range(batches):
+            _check_point_deadline()
+            env.run(until=env.now + batch_cycles)
+            series.append((stats.delivered_flits - prev_flits) / scale)
+            prev_flits = stats.delivered_flits
+    return window.finish(), series
+
+
 def run_point(
     network: NetworkConfig,
     workload_builder: WorkloadBuilder,
@@ -198,26 +249,14 @@ def run_point(
 ) -> Measurement:
     """Simulate one point and return its measurement window.
 
-    ``engine`` ("fast" / "reference" / None = ``REPRO_ENGINE``) picks
-    the execution path; results are identical either way.
+    ``engine`` ("fast" / "batch" / "reference" / None = ``REPRO_ENGINE``)
+    picks the execution path; results are identical either way.
     """
-    env, sim_engine, root = build_point(network, offered_load, run_cfg, engine)
-    workload: Workload = workload_builder(offered_load)
-    installed = workload.install(
-        env, sim_engine, root.fork(f"workload/{network.label}/{offered_load}")
-    )
-    if installed == 0:
-        raise RuntimeError("workload installed no traffic sources")
-    sim_engine.start()
-
-    warmup_deadline = env.now + run_cfg.max_cycles / 4
-    _run_until_delivered(sim_engine, run_cfg.warmup_packets, warmup_deadline)
-
-    window = MeasurementWindow(sim_engine)
-    window.begin()
-    deadline = env.now + run_cfg.max_cycles
-    _run_until_delivered(sim_engine, run_cfg.measure_packets, deadline)
-    return window.finish()
+    _, sim_engine, root = build_point(network, offered_load, run_cfg, engine)
+    workload = workload_builder(offered_load)
+    install_workload(sim_engine, workload, root.fork(f"workload/{network.label}/{offered_load}"))
+    warm_up(sim_engine, run_cfg)
+    return measure(sim_engine, run_cfg)[0]
 
 
 def sweep(

@@ -34,11 +34,11 @@ from typing import Optional, Sequence
 
 from repro.experiments.config import NetworkConfig, RunConfig
 from repro.experiments.report import ShapeCheck
-from repro.experiments.runner import _check_point_deadline, build_point
+from repro.experiments.runner import build_point, install_workload, measure, warm_up
 from repro.experiments.saturation import SaturationPoint, find_saturation
+from repro.experiments.workload_spec import WorkloadSpec
 from repro.faults.recovery import RetryPolicy, SourceRetry
-from repro.metrics.collector import Measurement, MeasurementWindow
-from repro.traffic.workload import Workload
+from repro.metrics.collector import Measurement
 from repro.stability import (
     AIMDConfig,
     AIMDGovernor,
@@ -110,14 +110,9 @@ def stability_point(
     ``run_cfg.max_cycles`` of measurement after at most a quarter of
     that again in warmup -- overload can no longer stretch either.
     """
-    if offered_load <= 0:
-        raise ValueError("offered_load must be positive")
     if batches < 8:
         raise ValueError("need >= 8 batches for a classifiable series")
-    from repro.experiments.workload_spec import WorkloadSpec
-
-    env, sim_engine, root = build_point(network, offered_load, run_cfg, engine)
-    n_nodes = sim_engine.network.N
+    _, sim_engine, root = build_point(network, offered_load, run_cfg, engine)
 
     # Overload toolkit: bounded queues, AIMD loop, watchdog + retry.
     (admission if admission is not None else BoundedQueue()).install(
@@ -126,9 +121,8 @@ def stability_point(
     governor = (
         AIMDGovernor(sim_engine, aimd) if governed else None
     )
-    retry = None
     if watchdog:
-        retry = SourceRetry(
+        SourceRetry(
             sim_engine,
             RetryPolicy(max_attempts=4, base_delay=64.0, max_delay=1024.0),
             root.fork(f"retry/{network.label}/{offered_load}"),
@@ -142,44 +136,20 @@ def stability_point(
         )
 
     spec = WorkloadSpec(k=network.k, n=network.n)
-    workload: Workload = spec.builder(run_cfg)(offered_load)
+    workload = spec.builder(run_cfg)(offered_load)
     workload.governor = governor
-    installed = workload.install(
-        env,
+    install_workload(
         sim_engine,
+        workload,
         root.fork(f"workload/{network.label}/{offered_load}"),
     )
-    if installed == 0:
-        raise RuntimeError("workload installed no traffic sources")
-    sim_engine.start()
-
-    # Warmup: packet-count target under a hard cycle bound, like the
-    # plain runner -- but past the knee the cycle bound is the binding
-    # one, which is exactly the point (bounded time).
-    warmup_deadline = env.now + run_cfg.max_cycles / 4
-    while (
-        sim_engine.stats.delivered_packets < run_cfg.warmup_packets
-        and env.now < warmup_deadline
-    ):
-        _check_point_deadline()
-        env.run(until=min(env.now + 512, warmup_deadline))
-
-    window = MeasurementWindow(sim_engine)
-    window.begin()
-    batch_cycles = max(1.0, run_cfg.max_cycles / batches)
-    series: list[float] = []
-    prev_flits = sim_engine.stats.delivered_flits
-    for _ in range(batches):
-        _check_point_deadline()
-        env.run(until=env.now + batch_cycles)
-        flits = sim_engine.stats.delivered_flits
-        series.append((flits - prev_flits) / (n_nodes * batch_cycles))
-        prev_flits = flits
-    measurement = window.finish()
+    # Past the knee the warm-up's cycle bound is the binding one, which
+    # is exactly the point (bounded time).
+    warm_up(sim_engine, run_cfg)
+    measurement, series = measure(sim_engine, run_cfg, batches)
 
     steady = analyze_series(series)
     label = classify(steady, knee_throughput)
-    assert retry is None or retry.engine is sim_engine  # keeps the sub alive
     return StabilityPoint(
         load_factor=load_factor,
         offered_load=offered_load,
@@ -212,8 +182,6 @@ def stability_sweep(
     loads (the boundary probe's load), just with the caveat the status
     records.
     """
-    from repro.experiments.workload_spec import WorkloadSpec
-
     spec = WorkloadSpec(k=network.k, n=network.n)
     knee = find_saturation(network, spec.builder(run_cfg), run_cfg)
     knee_thr = knee.throughput_percent / 100.0

@@ -1,10 +1,12 @@
 """Run one simulation point with the observability subsystem attached.
 
-:func:`run_traced_point` mirrors :func:`repro.experiments.runner.run_point`
-exactly -- same seeds, same warmup/measure protocol, bit-identical
+:func:`run_traced_point` runs the point lifecycle of
+:func:`repro.experiments.runner.run_point` -- same seeds, same
+warmup/measure protocol, bit-identical
 :class:`~repro.metrics.collector.Measurement` -- but opens an
 :class:`~repro.obs.session.ObsSession` aligned with the measurement
-window.  The sinks attach at ``window.begin()``, so the contention
+window.  The sinks attach between warm-up and the window, in the
+cycle the window opens, so the contention
 ledgers, latency histograms, and (optionally) the Perfetto trace cover
 precisely the cycles the measurement summarizes: the per-channel busy
 intervals in the exported trace sum to that channel's reported
@@ -23,11 +25,13 @@ from typing import Optional, Union
 from repro.experiments.config import NetworkConfig, RunConfig
 from repro.experiments.runner import (
     WorkloadBuilder,
-    _run_until_delivered,
     build_point,
+    install_workload,
+    measure,
+    warm_up,
 )
 from repro.experiments.workload_spec import WorkloadSpec
-from repro.metrics.collector import Measurement, MeasurementWindow
+from repro.metrics.collector import Measurement
 from repro.obs.session import ObsSession
 
 
@@ -55,26 +59,16 @@ def run_traced_point(
     else:
         builder = workload
 
-    env, sim_engine, root = build_point(network, offered_load, run_cfg, engine)
-    engine = sim_engine
-    wl = builder(offered_load)
-    installed = wl.install(
-        env, engine, root.fork(f"workload/{network.label}/{offered_load}")
+    _, sim_engine, root = build_point(network, offered_load, run_cfg, engine)
+    install_workload(
+        sim_engine,
+        builder(offered_load),
+        root.fork(f"workload/{network.label}/{offered_load}"),
     )
-    if installed == 0:
-        raise RuntimeError("workload installed no traffic sources")
-    engine.start()
-
-    warmup_deadline = env.now + run_cfg.max_cycles / 4
-    _run_until_delivered(engine, run_cfg.warmup_packets, warmup_deadline)
-
-    window = MeasurementWindow(engine)
-    window.begin()
+    warm_up(sim_engine, run_cfg)
     # Attach at the window boundary so the observation and measurement
     # windows coincide (utilization == busy-interval sums by definition).
-    obs = ObsSession(engine, trace=trace, bucket=bucket)
-    deadline = env.now + run_cfg.max_cycles
-    _run_until_delivered(engine, run_cfg.measure_packets, deadline)
-    measurement = window.finish()
+    obs = ObsSession(sim_engine, trace=trace, bucket=bucket)
+    measurement, _ = measure(sim_engine, run_cfg)
     obs.close()
     return measurement, obs

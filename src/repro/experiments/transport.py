@@ -33,12 +33,13 @@ from typing import Optional, Sequence
 
 from repro.experiments.config import NetworkConfig, RunConfig
 from repro.experiments.report import ShapeCheck
-from repro.experiments.runner import _check_point_deadline, build_point
+from repro.experiments.runner import build_point, install_workload, measure, warm_up
 from repro.experiments.saturation import SaturationPoint, find_saturation
 from repro.experiments.stability import DEFAULT_BATCHES, LOAD_FACTORS
+from repro.experiments.workload_spec import WorkloadSpec
 from repro.faults.mtbf import MTBFChurn
 from repro.faults.recovery import RetryPolicy, SourceRetry
-from repro.metrics.collector import Measurement, MeasurementWindow
+from repro.metrics.collector import Measurement
 from repro.stability import (
     AIMDGovernor,
     BoundedQueue,
@@ -48,7 +49,6 @@ from repro.stability import (
     classify,
 )
 from repro.stability.admission import SHED_NEWEST
-from repro.traffic.workload import Workload
 from repro.transport import ReliableTransport, TransportConfig
 
 #: Recovery modes the sweep compares at every (network, knee-multiple).
@@ -116,32 +116,21 @@ def transport_point(
     forked under the same labels in every mode, so the comparison
     isolates the recovery machinery.
     """
-    if offered_load <= 0:
-        raise ValueError("offered_load must be positive")
     if mode not in MODES:
         raise ValueError(f"unknown mode {mode!r}; valid: {', '.join(MODES)}")
     if not 0.0 <= fault_rate < 1.0:
         raise ValueError("fault_rate is an unavailability fraction in [0, 1)")
     if batches < 8:
         raise ValueError("need >= 8 batches for a classifiable series")
-    from repro.experiments.workload_spec import WorkloadSpec
-
     env, sim_engine, root = build_point(network, offered_load, run_cfg, engine)
-    n_nodes = sim_engine.network.N
     label = network.label
 
     # The storm: bounded shed-newest admission + hard channel churn.
     BoundedQueue(capacity=capacity, mode=SHED_NEWEST).install(sim_engine)
     if fault_rate > 0.0:
-        mtbf = mttr * (1.0 - fault_rate) / fault_rate
-        MTBFChurn(
-            env,
-            sim_engine.network,
-            root.fork(f"faults/{label}/{offered_load}"),
-            mtbf=mtbf,
-            mttr=mttr,
-            engine=sim_engine,
-            severity="hard",
+        MTBFChurn.from_unavailability(
+            env, sim_engine.network, root.fork(f"faults/{label}/{offered_load}"),
+            fault_rate, mttr, engine=sim_engine, severity="hard",
         )
     # The watchdog runs in every mode: "no deadlock/livelock" is part
     # of the claim under test, not an assumption.
@@ -157,7 +146,6 @@ def transport_point(
         AIMDGovernor(sim_engine) if mode in ("governor", "both") else None
     )
     transport = None
-    retry = None
     if mode in ("transport", "both"):
         transport = ReliableTransport(
             sim_engine,
@@ -167,50 +155,27 @@ def transport_point(
             root.fork(f"transport/{label}/{offered_load}"),
         )
     else:
-        # Governor-only recovery is PR 1's source retry (never stacked
+        # Governor-only recovery is plain source retry (never stacked
         # with the transport: both re-offering the same loss would
         # double-inject).
-        retry = SourceRetry(
+        SourceRetry(
             sim_engine,
             RetryPolicy(max_attempts=4, base_delay=64.0, max_delay=1024.0),
             root.fork(f"retry/{label}/{offered_load}"),
         )
 
     spec = WorkloadSpec(k=network.k, n=network.n)
-    workload: Workload = spec.builder(run_cfg)(offered_load)
+    workload = spec.builder(run_cfg)(offered_load)
     workload.governor = governor
     workload.transport = transport
-    installed = workload.install(
-        env, sim_engine, root.fork(f"workload/{label}/{offered_load}")
+    install_workload(
+        sim_engine, workload, root.fork(f"workload/{label}/{offered_load}")
     )
-    if installed == 0:
-        raise RuntimeError("workload installed no traffic sources")
-    sim_engine.start()
-
-    warmup_deadline = env.now + run_cfg.max_cycles / 4
-    while (
-        sim_engine.stats.delivered_packets < run_cfg.warmup_packets
-        and env.now < warmup_deadline
-    ):
-        _check_point_deadline()
-        env.run(until=min(env.now + 512, warmup_deadline))
-
-    window = MeasurementWindow(sim_engine)
-    window.begin()
-    batch_cycles = max(1.0, run_cfg.max_cycles / batches)
-    series: list[float] = []
-    prev_flits = sim_engine.stats.delivered_flits
-    for _ in range(batches):
-        _check_point_deadline()
-        env.run(until=env.now + batch_cycles)
-        flits = sim_engine.stats.delivered_flits
-        series.append((flits - prev_flits) / (n_nodes * batch_cycles))
-        prev_flits = flits
-    measurement = window.finish()
+    warm_up(sim_engine, run_cfg)
+    measurement, series = measure(sim_engine, run_cfg, batches)
 
     steady = analyze_series(series)
     classification = classify(steady, knee_throughput)
-    assert retry is None or retry.engine is sim_engine  # keeps the sub alive
     return TransportPoint(
         mode=mode,
         load_factor=load_factor,
@@ -241,8 +206,6 @@ def transport_sweep(
     engine: Optional[str] = None,
 ) -> TransportResult:
     """One network's storm profile over the knee-multiple ladder."""
-    from repro.experiments.workload_spec import WorkloadSpec
-
     spec = WorkloadSpec(k=network.k, n=network.n)
     knee = find_saturation(network, spec.builder(run_cfg), run_cfg)
     knee_thr = knee.throughput_percent / 100.0

@@ -20,7 +20,7 @@ argument (Section 2) is about fabric path redundancy.
 
 from __future__ import annotations
 
-from typing import Iterable, Optional
+from typing import Any, Iterable, Optional
 
 from repro.sim.core import Environment
 from repro.sim.rng import RandomStream
@@ -103,6 +103,19 @@ class MTBFChurn:
                 self._churn(ch, rng.fork(f"mtbf/{ch.label}")),
                 name=f"mtbf-{ch.label}",
             )
+
+    @staticmethod
+    def from_unavailability(
+        env: Environment, network: SimNetwork, rng: RandomStream,
+        unavailability: float, mttr: float, **kwargs: Any,
+    ) -> "MTBFChurn":
+        """Churn at a steady-state downtime fraction: the MTBF solves
+        ``mttr / (mtbf + mttr) = unavailability``.  ``kwargs`` as in
+        the constructor (``channels``, ``engine``, ``severity``)."""
+        if not 0.0 < unavailability < 1.0:
+            raise ValueError("unavailability must lie in (0, 1)")
+        mtbf = mttr * (1.0 - unavailability) / unavailability
+        return MTBFChurn(env, network, rng, mtbf=mtbf, mttr=mttr, **kwargs)
 
     @property
     def unavailability(self) -> float:

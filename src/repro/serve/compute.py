@@ -9,17 +9,21 @@ proves this for every network on both engines).
 Fault-free points go through the ordinary
 :func:`repro.experiments.runner.run_point` path -- the same code the
 figures use, so the service's answers are the repro's answers.  Faulted
-points reuse the availability sweep's wiring (MTBF churn + source
-retry) with the engine choice honored.
+points run the availability sweep's body,
+:func:`repro.experiments.availability.faulted_point` (MTBF churn +
+source retry), keyed by load and with the engine choice honored.
+Every path shares the runner's point lifecycle.
 """
 
 from __future__ import annotations
 
+import math
+from dataclasses import asdict
+
 from repro.experiments.config import RunConfig
-from repro.experiments.runner import _run_until_delivered, build_point, run_point
-from repro.metrics.collector import Measurement, MeasurementWindow, measurement_to_dict
+from repro.experiments.runner import build_point, install_workload, measure, run_point, warm_up
+from repro.metrics.collector import measurement_to_dict
 from repro.serve.job import PointSpec
-from repro.traffic.workload import Workload
 
 PAYLOAD_VERSION = 1
 
@@ -40,7 +44,16 @@ def run_point_spec(point: PointSpec) -> dict:
             engine=point.engine,
         )
     else:
-        measurement = _run_faulted_point(point, run_cfg)
+        from repro.experiments.availability import faulted_point
+        from repro.faults.recovery import RetryPolicy
+
+        faults = point.faults
+        workload = point.workload.builder(run_cfg)(point.load)
+        policy = RetryPolicy(max_attempts=faults.max_attempts)
+        measurement = faulted_point(
+            point.network, point.load, run_cfg, workload,
+            faults.rate, faults.mttr, policy, faults.severity, point.engine,
+        ).measurement
     return {
         "version": PAYLOAD_VERSION,
         "measurement": measurement_to_dict(measurement),
@@ -78,13 +91,7 @@ def _run_stability_point(point: PointSpec, run_cfg: RunConfig) -> dict:
         "stability": {
             "config": dict(cfg),
             "classification": sp.stability,
-            "steady": {
-                "samples": sp.steady.samples,
-                "truncation": sp.steady.truncation,
-                "mean": sp.steady.mean,
-                "cv": sp.steady.cv,
-                "drift": sp.steady.drift,
-            },
+            "steady": asdict(sp.steady),
             "mean_rate": sp.mean_rate,
             "stall_events": sp.stall_events,
             "sheds": sp.sheds,
@@ -118,35 +125,16 @@ def _run_transport_point(point: PointSpec, run_cfg: RunConfig) -> dict:
     )
     faults = point.faults
     if faults is not None and faults.rate > 0.0:
-        mtbf = faults.mttr * (1.0 - faults.rate) / faults.rate
-        MTBFChurn(
-            env,
-            engine.network,
-            root.fork(f"faults/{label}/{point.load}"),
-            mtbf=mtbf,
-            mttr=faults.mttr,
-            engine=engine,
-            severity=faults.severity,
+        MTBFChurn.from_unavailability(
+            env, engine.network, root.fork(f"faults/{label}/{point.load}"),
+            faults.rate, faults.mttr, engine=engine, severity=faults.severity,
         )
-    workload: Workload = point.workload.builder(run_cfg)(point.load)
+    workload = point.workload.builder(run_cfg)(point.load)
     workload.transport = transport
-    installed = workload.install(
-        env, engine, root.fork(f"workload/{label}/{point.load}")
-    )
-    if installed == 0:
-        raise RuntimeError("workload installed no traffic sources")
-    engine.start()
-
-    warmup_deadline = env.now + run_cfg.max_cycles / 4
-    _run_until_delivered(engine, run_cfg.warmup_packets, warmup_deadline)
-    window = MeasurementWindow(engine)
-    window.begin()
-    deadline = env.now + run_cfg.max_cycles
-    _run_until_delivered(engine, run_cfg.measure_packets, deadline)
-    measurement = window.finish()
-    settled = sum(
-        1 for o in transport.outcomes.values() if o == "delivered"
-    )
+    install_workload(engine, workload, root.fork(f"workload/{label}/{point.load}"))
+    warm_up(engine, run_cfg)
+    measurement, _ = measure(engine, run_cfg)
+    ratio = transport.delivered_ratio()
     return {
         "version": PAYLOAD_VERSION,
         "measurement": measurement_to_dict(measurement),
@@ -157,53 +145,6 @@ def _run_transport_point(point: PointSpec, run_cfg: RunConfig) -> dict:
             "messages_aborted": transport.messages_aborted,
             "flows_aborted": transport.flows_aborted,
             "acks_lost": transport.acks_lost,
-            "delivered_ratio": (
-                settled / len(transport.outcomes)
-                if transport.outcomes
-                else None
-            ),
+            "delivered_ratio": None if math.isnan(ratio) else ratio,
         },
     }
-
-
-def _run_faulted_point(point: PointSpec, run_cfg: RunConfig) -> Measurement:
-    """The availability-style execution path, engine choice included."""
-    from repro.faults.mtbf import MTBFChurn
-    from repro.faults.recovery import RetryPolicy, SourceRetry
-
-    faults = point.faults
-    env, engine, root = build_point(
-        point.network, point.load, run_cfg, point.engine
-    )
-    label = point.network.label
-    SourceRetry(
-        engine,
-        RetryPolicy(max_attempts=faults.max_attempts),
-        root.fork(f"retry/{label}/{point.load}"),
-    )
-    if faults.rate > 0.0:
-        mtbf = faults.mttr * (1.0 - faults.rate) / faults.rate
-        MTBFChurn(
-            env,
-            engine.network,
-            root.fork(f"faults/{label}/{point.load}"),
-            mtbf=mtbf,
-            mttr=faults.mttr,
-            engine=engine,
-            severity=faults.severity,
-        )
-    workload: Workload = point.workload.builder(run_cfg)(point.load)
-    installed = workload.install(
-        env, engine, root.fork(f"workload/{label}/{point.load}")
-    )
-    if installed == 0:
-        raise RuntimeError("workload installed no traffic sources")
-    engine.start()
-
-    warmup_deadline = env.now + run_cfg.max_cycles / 4
-    _run_until_delivered(engine, run_cfg.warmup_packets, warmup_deadline)
-    window = MeasurementWindow(engine)
-    window.begin()
-    deadline = env.now + run_cfg.max_cycles
-    _run_until_delivered(engine, run_cfg.measure_packets, deadline)
-    return window.finish()

@@ -1,9 +1,7 @@
 """Runtime progress watchdog: deadlock vs. livelock vs. congestion.
 
-The engine's built-in ``deadlock_watchdog`` counter only recognizes
-*total* standstill (no flit moved, no lane granted) and can only raise
-:class:`~repro.wormhole.engine.DeadlockError`.  This watchdog sees two
-more states and can *recover*:
+The engine's one runtime progress monitor (``engine.watchdog``).  It
+tells three states apart and can *recover*:
 
 * **deadlock** -- packets in flight and the whole fabric frozen for
   ``deadlock_after`` consecutive cycles.  Nothing will ever move again
@@ -24,8 +22,8 @@ source-side retry layer (:class:`repro.faults.recovery.SourceRetry`)
 re-injects it with backoff exactly like a fault casualty; the message
 is delayed, not lost.  With ``recover=False`` the watchdog is a pure
 classifier: stall events are recorded and published (cold ``stall``
-bus kind) and a *deadlock* still raises
-:class:`~repro.wormhole.engine.DeadlockError` as before.
+bus kind) and a *deadlock* raises
+:class:`~repro.wormhole.engine.DeadlockError` naming the held channels.
 
 Progress is sampled every ``check_every`` cycles from a per-worm
 signature ``(lanes acquired, head-lane flits sent, flits delivered)``
@@ -185,7 +183,7 @@ class ProgressWatchdog:
                 self._abort(engine, victim, age, DEADLOCK)
             else:
                 self._record(engine, victim, age, DEADLOCK, recovered=False)
-                raise DeadlockError(engine._deadlock_report())
+                raise DeadlockError(engine._deadlock_report(age))
             return
 
         # Fabric-wide progress exists; look for individually starved

@@ -95,7 +95,9 @@ def resolve_engine(engine: Optional[str] = None) -> str:
 
 
 class DeadlockError(RuntimeError):
-    """Raised by the watchdog: packets in flight but zero progress.
+    """Raised by an observe-only progress watchdog
+    (:class:`repro.stability.ProgressWatchdog` with ``recover=False``):
+    packets in flight but zero progress.
 
     The paper's four networks cannot reach this state (feed-forward /
     acyclic turnaround dependencies); the watchdog protects users who
@@ -303,12 +305,8 @@ class WormholeEngine:
         #: into (see :mod:`repro.obs.bus`).  With no sinks attached the
         #: hot path pays one hoisted flag read per cycle, nothing more.
         self.bus = EventBus()
-        #: Cycles of zero progress (no flit moved, no lane granted,
-        #: packets in flight) before :class:`DeadlockError` is raised.
-        #: 0 disables the watchdog (the default: the paper's networks
-        #: are deadlock-free by construction).
-        self.deadlock_watchdog = 0
-        self._stalled_cycles = 0
+        #: Set whenever a cycle moves a flit or grants a lane; the
+        #: progress watchdog reads it to tell standstill from traffic.
         self._progressed = False
         #: Optional bounded-admission policy consulted by :meth:`offer`
         #: (any object with ``capacity`` and ``decide(engine, src)``;
@@ -451,20 +449,13 @@ class WormholeEngine:
             self.sanitizer.check_cycle(self)
         if self.watchdog is not None:
             self.watchdog.on_cycle(self)
-        if self.deadlock_watchdog:
-            if self._progressed or self._active_packets == 0:
-                self._stalled_cycles = 0
-            else:
-                self._stalled_cycles += 1
-                if self._stalled_cycles >= self.deadlock_watchdog:
-                    raise DeadlockError(self._deadlock_report())
 
-    def _deadlock_report(self) -> str:
+    def _deadlock_report(self, stalled_cycles: int) -> str:
         """Diagnostic message for the watchdog (custom-topology debugging)."""
         stalled = self.in_flight_packets()
         header = (
             f"{self._active_packets} packets in flight made no progress "
-            f"for {self._stalled_cycles} cycles at t={self.env.now} "
+            f"for {stalled_cycles} cycles at t={self.env.now} "
             f"({len(stalled)} stalled worms)"
         )
         if stalled:
@@ -1442,7 +1433,6 @@ class WormholeEngine:
             or not self._worm_mode
             or self.sanitizer is not None
             or self.watchdog is not None
-            or self.deadlock_watchdog
         ):
             return 1
         pending = self._pending_route

@@ -39,11 +39,15 @@ import os
 from dataclasses import replace
 
 from repro.experiments.config import PRESETS, NetworkConfig
-from repro.experiments.runner import _run_until_delivered, build_point
+from repro.experiments.runner import (
+    build_point,
+    install_workload,
+    measure,
+    warm_up,
+)
 from repro.experiments.workload_spec import WorkloadSpec
 from repro.faults.mtbf import fabric_channels
 from repro.faults.plan import FaultEvent, FaultPlan
-from repro.metrics.collector import MeasurementWindow
 from repro.wormhole import channel as channel_mod
 
 #: Network kinds under test (all four of the paper's networks).
@@ -211,19 +215,11 @@ def run_case(
         workload = spec.builder(run_cfg)(load)
         workload.governor = governor
         workload.transport = reliability
-        workload.install(
-            env, eng, root.fork(f"workload/{network.label}/{load}")
+        install_workload(
+            eng, workload, root.fork(f"workload/{network.label}/{load}")
         )
-        eng.start()
-        _run_until_delivered(
-            eng, run_cfg.warmup_packets, env.now + run_cfg.max_cycles / 4
-        )
-        window = MeasurementWindow(eng)
-        window.begin()
-        _run_until_delivered(
-            eng, run_cfg.measure_packets, env.now + run_cfg.max_cycles
-        )
-        measurement = window.finish()
+        warm_up(eng, run_cfg)
+        measurement, _ = measure(eng, run_cfg)
     finally:
         if sanitize:
             if saved_env is None:

@@ -14,7 +14,7 @@ from __future__ import annotations
 import pytest
 
 from repro.experiments.config import PRESETS, NetworkConfig
-from repro.experiments.runner import _run_until_delivered
+from repro.experiments.runner import install_workload, measure, warm_up
 from repro.experiments.workload_spec import WorkloadSpec
 from repro.sim.core import Environment
 from repro.sim.events import PRIORITY_NORMAL, PRIORITY_URGENT
@@ -99,15 +99,13 @@ def _engine_run(kind: str, scheduler: str):
         engine="fast",
     )
     spec = WorkloadSpec(pattern="uniform")
-    workload = spec.builder(CFG)(load)
-    workload.install(env, engine, root.fork(f"workload/{network.label}/{load}"))
-    engine.start()
-    _run_until_delivered(engine, CFG.warmup_packets, env.now + 4000)
-    _run_until_delivered(
+    install_workload(
         engine,
-        CFG.warmup_packets + CFG.measure_packets,
-        env.now + CFG.max_cycles,
+        spec.builder(CFG)(load),
+        root.fork(f"workload/{network.label}/{load}"),
     )
+    warm_up(engine, CFG)
+    measure(engine, CFG)
     stats = engine.stats
     return (
         tuple(stats.records),

@@ -15,8 +15,7 @@ from dataclasses import replace
 
 from repro.experiments.config import SMOKE
 from repro.experiments.figures import shuffle_workload
-from repro.experiments.runner import _run_until_delivered
-from repro.metrics.collector import MeasurementWindow
+from repro.experiments.runner import install_workload, measure, warm_up
 from repro.sim import Environment
 from repro.sim.rng import RandomStream
 from repro.topology.bmin import BidirectionalMIN
@@ -77,7 +76,13 @@ def test_default_networks_unaffected_by_hook():
 def test_smart_beats_random_under_shuffle():
     """The headline: one-step lookahead pushes the 64-node BMIN past
     the DMIN's 50% static shuffle cap, as the paper theorized."""
-    cfg = replace(SMOKE, measure_packets=900, sizes=replace(SMOKE.sizes, low=8, high=64))
+    cfg = replace(
+        SMOKE,
+        warmup_packets=200,
+        measure_packets=1100,
+        max_cycles=120_000,
+        sizes=replace(SMOKE.sizes, low=8, high=64),
+    )
     results = {}
     for name, cls in (
         ("random", BidirectionalNetwork),
@@ -89,14 +94,11 @@ def test_smart_beats_random_under_shuffle():
             cls(BidirectionalMIN(4, 3)),
             rng=RandomStream(cfg.seed),
         )
-        wl = shuffle_workload(cfg)(0.7)
-        wl.install(env, eng, RandomStream(cfg.seed + 1))
-        eng.start()
-        _run_until_delivered(eng, 200, 30_000)
-        window = MeasurementWindow(eng)
-        window.begin()
-        _run_until_delivered(eng, 200 + cfg.measure_packets, env.now + 60_000)
-        results[name] = window.finish().throughput_percent
+        install_workload(
+            eng, shuffle_workload(cfg)(0.7), RandomStream(cfg.seed + 1)
+        )
+        warm_up(eng, cfg)
+        results[name] = measure(eng, cfg)[0].throughput_percent
     assert results["smart"] > results["random"] + 5.0, results
     assert results["smart"] > 50.0, results  # past the DMIN's cap
 

@@ -1,10 +1,12 @@
-"""Tests for the deadlock watchdog, including a genuinely deadlocking
-custom network (a 2-cycle of channel dependencies) to prove it fires."""
+"""Tests for deadlock detection by an observe-only progress watchdog,
+including a genuinely deadlocking custom network (a 2-cycle of channel
+dependencies) to prove it fires."""
 
 import pytest
 
 from repro.sim import Environment
 from repro.sim.rng import RandomStream
+from repro.stability import ProgressWatchdog
 from repro.wormhole import WormholeEngine, build_network
 from repro.wormhole.channel import PhysChannel
 from repro.wormhole.network import NetworkKind, SimNetwork
@@ -53,7 +55,9 @@ class RingNetwork(SimNetwork):
 def test_ring_network_deadlocks_and_watchdog_fires():
     env = Environment()
     eng = WormholeEngine(env, RingNetwork(), rng=RandomStream(0))
-    eng.deadlock_watchdog = 50
+    eng.watchdog = ProgressWatchdog(
+        eng, check_every=1, deadlock_after=50, recover=False
+    )
     eng.offer(0, 1, 100)
     eng.offer(1, 0, 100)
     eng.start()
@@ -68,7 +72,9 @@ def test_ring_network_deadlocks_and_watchdog_fires():
 def test_watchdog_names_held_channels():
     env = Environment()
     eng = WormholeEngine(env, RingNetwork(), rng=RandomStream(0))
-    eng.deadlock_watchdog = 20
+    eng.watchdog = ProgressWatchdog(
+        eng, check_every=1, deadlock_after=20, recover=False
+    )
     eng.offer(0, 1, 100)
     eng.offer(1, 0, 100)
     eng.start()
@@ -86,7 +92,9 @@ def test_paper_networks_never_trip_the_watchdog(kind):
     paper's networks still drains: they are deadlock-free for real."""
     env = Environment()
     eng = WormholeEngine(env, build_network(kind, 2, 3), rng=RandomStream(1))
-    eng.deadlock_watchdog = 200
+    eng.watchdog = ProgressWatchdog(
+        eng, check_every=1, deadlock_after=200, recover=False
+    )
     rs = RandomStream(2)
     for _ in range(60):
         s = rs.uniform_int(0, 7)
@@ -101,7 +109,7 @@ def test_paper_networks_never_trip_the_watchdog(kind):
 def test_watchdog_disabled_by_default():
     env = Environment()
     eng = WormholeEngine(env, build_network("tmin", 2, 3), rng=RandomStream(0))
-    assert eng.deadlock_watchdog == 0
+    assert eng.watchdog is None
     # A ring network without a watchdog just spins silently.
     env2 = Environment()
     eng2 = WormholeEngine(env2, RingNetwork(), rng=RandomStream(0))

@@ -62,31 +62,29 @@ def compute_fixture(name: str) -> dict:
     from dataclasses import asdict
 
     from repro.experiments.config import PRESETS, NetworkConfig
-    from repro.experiments.runner import _run_until_delivered, build_point
+    from repro.experiments.runner import (
+        build_point,
+        install_workload,
+        measure,
+        warm_up,
+    )
     from repro.experiments.workload_spec import WorkloadSpec
-    from repro.metrics.collector import MeasurementWindow
 
     kind, pattern, load = SCENARIOS[name]
     run_cfg = PRESETS["smoke"]
     network = NetworkConfig(kind)
     spec = WorkloadSpec(pattern=pattern)
 
-    # Same plumbing as runner.run_point, but the engine is kept so the
-    # fixture can digest its delivery-record stream and counters.
-
+    # The point lifecycle runner.run_point runs, but the engine is kept
+    # so the fixture can digest its delivery-record stream and counters.
     env, engine, root = build_point(network, load, run_cfg)
-    workload = spec.builder(run_cfg)(load)
-    workload.install(env, engine, root.fork(f"workload/{network.label}/{load}"))
-    engine.start()
-    _run_until_delivered(
-        engine, run_cfg.warmup_packets, env.now + run_cfg.max_cycles / 4
+    install_workload(
+        engine,
+        spec.builder(run_cfg)(load),
+        root.fork(f"workload/{network.label}/{load}"),
     )
-    window = MeasurementWindow(engine)
-    window.begin()
-    _run_until_delivered(
-        engine, run_cfg.measure_packets, env.now + run_cfg.max_cycles
-    )
-    measurement = window.finish()
+    warm_up(engine, run_cfg)
+    measurement, _ = measure(engine, run_cfg)
 
     records = engine.stats.records
     lines = [
