@@ -6,8 +6,8 @@ Two harnesses share this module:
   per second for each network kind under a fixed uniform load, and the
   cost of network construction;
 * a CLI perf gate (``python benchmarks/bench_engine.py``) that times
-  the N=64 uniform-traffic load sweep under all three engine tiers
-  (reference, fast, batch), records the schema-2 result in
+  the N=64 uniform-traffic load sweep under both engine tiers
+  (reference, fast), records the schema-3 result in
   ``benchmarks/BENCH_engine.json``, and -- with ``--check`` -- fails
   when an absolute tier gate breaks (the default fast tier >= 10x
   reference on the sweep and >= 20x reference on the streaming point)
@@ -97,7 +97,7 @@ def test_single_packet_end_to_end(benchmark):
 
 # ------------------------------------------------------------ CLI perf gate
 #
-# Schema 2 (three engine tiers).  Two scenarios, both the paper's N=64
+# Schema 3 (two engine tiers).  Two scenarios, both the paper's N=64
 # uniform-traffic DMIN geometry with paper-fidelity 1024-flit messages
 # (the paper's longest; the figures fix the message length per curve):
 #
@@ -107,9 +107,6 @@ def test_single_packet_end_to_end(benchmark):
 #                    through a quiet network, the regime the span-sleep
 #                    clock targets.  Gate: fast >= 20x reference.
 #
-# Both gates are on the default tier: the span-sleep clock and the
-# free-run ledger are shared by fast and batch, so ``batch_over_fast``
-# (now only the mirrored RNG's effect) is recorded but not gated.
 # ``--check`` re-times both scenarios and fails when either absolute
 # gate breaks or a gated ratio regressed more than ``--tolerance``
 # against the committed baseline.  Gating ratios (not seconds) keeps
@@ -122,7 +119,6 @@ GATE_STREAMING_FAST_OVER_REFERENCE = 20.0
 #: (scenario, ratio) pairs ``--check`` holds against the baseline.
 REGRESSION_GATED = (
     ("sweep", "fast_over_reference"),
-    ("sweep", "batch_over_reference"),
     ("streaming", "fast_over_reference"),
 )
 
@@ -185,38 +181,24 @@ def _sweep_seconds(
 
 
 def _time_scenario(loads: tuple, repeats: int) -> dict:
-    """Time all three engines on one load set; assert they agree."""
+    """Time both engines on one load set; assert they agree."""
     ref_s, ref = _sweep_seconds("reference", loads, repeats)
     fast_s, fast = _sweep_seconds("fast", loads, repeats)
-    batch_s, batch = _sweep_seconds("batch", loads, repeats)
     assert fast.points == ref.points, (
         "fast and reference engines disagree -- run tests/differential"
-    )
-    assert batch.points == ref.points, (
-        "batch and reference engines disagree -- run tests/differential"
     )
     return {
         "reference_seconds": round(ref_s, 3),
         "fast_seconds": round(fast_s, 3),
-        "batch_seconds": round(batch_s, 3),
         "fast_over_reference": round(ref_s / fast_s, 3),
-        "batch_over_reference": round(ref_s / batch_s, 3),
-        "batch_over_fast": round(fast_s / batch_s, 3),
     }
 
 
 def run_gate(repeats: int = 3) -> dict:
-    """Time the three engine tiers on both scenarios; return the
-    JSON-ready schema-2 record."""
-    from repro.wormhole.batch import numpy_available
-
-    if not numpy_available():  # pragma: no cover - CI installs numpy
-        raise SystemExit(
-            "the perf gate times the batch tier, which requires numpy "
-            "(pip install repro[fast])"
-        )
+    """Time both engine tiers on both scenarios; return the JSON-ready
+    schema-3 record."""
     return {
-        "schema": 2,
+        "schema": 3,
         "scenario": {
             "network": "dmin",
             "nodes": 64,
@@ -260,7 +242,7 @@ def main(argv=None) -> int:
     import pathlib
 
     parser = argparse.ArgumentParser(
-        description="engine perf gate: reference vs fast vs batch on the N=64 sweep"
+        description="engine perf gate: reference vs fast on the N=64 sweep"
     )
     parser.add_argument(
         "--check",
@@ -285,9 +267,7 @@ def main(argv=None) -> int:
         print(
             f"{name:9s}  reference {row['reference_seconds']:6.2f}s   "
             f"fast {row['fast_seconds']:6.2f}s   "
-            f"batch {row['batch_seconds']:6.2f}s   "
-            f"fast/ref {row['fast_over_reference']:6.2f}x   "
-            f"batch/fast {row['batch_over_fast']:5.2f}x"
+            f"fast/ref {row['fast_over_reference']:6.2f}x"
         )
     if not args.check:
         failures = _check_absolute_gates(record)

@@ -264,10 +264,9 @@ def main(argv: list[str] | None = None) -> int:
         "--engine",
         choices=ENGINE_KINDS,
         default=None,
-        help="execution path: the optimized default ('fast'), 'fast' "
-        "plus the numpy-mirrored allocation RNG ('batch', needs the "
-        "repro[fast] extra) or the simple reference engine "
-        "('reference'); results are identical, only wall-clock differs",
+        help="execution path: the optimized default ('fast') or the "
+        "simple reference engine ('reference'); results are identical, "
+        "only wall-clock differs",
     )
     args = parser.parse_args(argv)
     if args.engine:

@@ -41,13 +41,12 @@ def build_point(
     ``<layer>/<network label>/<key>`` from the root the same way.
 
     ``engine`` selects the execution path -- ``"fast"`` pairs the
-    calendar scheduler with the optimized engine phases and span-sleep
-    clock, ``"batch"`` adds the numpy-mirrored allocation RNG (needs
-    the ``repro[fast]`` extra), ``"reference"`` the plain heap with
-    the reference phases,
-    and None defers to ``REPRO_ENGINE`` (default fast).  The choice
-    never changes results (``tests/differential``), only wall-clock
-    cost.
+    calendar scheduler with the optimized engine phases, span-sleep
+    clock and prefetched allocation stream, ``"reference"`` the plain
+    heap with the reference phases and stdlib draws, and None defers
+    to ``REPRO_ENGINE`` (default fast; ``"batch"`` is an alias of
+    fast).  The choice never changes results (``tests/differential``),
+    only wall-clock cost.
     """
     kind = resolve_engine(engine)
     env = Environment(scheduler="heap" if kind == "reference" else "calendar")
@@ -249,7 +248,7 @@ def run_point(
 ) -> Measurement:
     """Simulate one point and return its measurement window.
 
-    ``engine`` ("fast" / "batch" / "reference" / None = ``REPRO_ENGINE``)
+    ``engine`` ("fast" / "reference" / None = ``REPRO_ENGINE``)
     picks the execution path; results are identical either way.
     """
     _, sim_engine, root = build_point(network, offered_load, run_cfg, engine)

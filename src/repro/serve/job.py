@@ -32,7 +32,7 @@ from repro.serve.canonical import canonical_value, config_hash
 from repro.stability.admission import ADMISSION_MODES, SHED_NEWEST
 from repro.traffic.workload import MessageSizeModel
 from repro.transport import TransportConfig
-from repro.wormhole.engine import ENGINE_KINDS, resolve_engine
+from repro.wormhole.engine import resolve_engine
 from repro.wormhole.network import NetworkKind
 
 #: Per-point serving statuses a manifest can record.
@@ -239,11 +239,7 @@ class PointSpec:
             },
             "load": self.load,
             "seed": self.seed,
-            # The batch tier is an execution detail, not an identity:
-            # its results are bit-identical to fast's (the differential
-            # suite certifies this), so batch points share fast's cache
-            # entries -- and every pre-batch cache key stays byte-stable.
-            "engine": "fast" if self.engine == "batch" else self.engine,
+            "engine": self.engine,
             "faults": canonical_value(self.faults) if self.faults else None,
             "stability": (
                 canonical_value(self.stability) if self.stability else None
@@ -300,8 +296,10 @@ class JobSpec:
             self, "loads", tuple(float(x) for x in self.loads)
         )
         object.__setattr__(self, "seeds", tuple(int(s) for s in self.seeds))
-        if self.engine not in ENGINE_KINDS:
+        if not isinstance(self.engine, str):
             raise ValueError(f"unknown engine {self.engine!r}")
+        # Never None here, so the environment is not consulted.
+        object.__setattr__(self, "engine", resolve_engine(self.engine))
         object.__setattr__(
             self, "stability", validate_stability(self.stability)
         )

@@ -6,13 +6,16 @@ message lengths, adaptive channel choices) draws from a
 sub-streams can be forked deterministically with :meth:`RandomStream.fork`
 so that, e.g., changing the arrival process of node 7 does not perturb
 the draws seen by node 8 — the standard variance-reduction discipline
-for simulation comparison studies like the paper's.
+for simulation comparison studies like the paper's.  The fast engine
+tier serves its allocation draws through :class:`PrefetchStream`, the
+same stream read in bulk.
 """
 
 from __future__ import annotations
 
 import math
 import random
+import struct
 from typing import Optional, Sequence, TypeVar
 
 T = TypeVar("T")
@@ -122,3 +125,105 @@ class RandomStream:
 
     def __repr__(self) -> str:
         return f"<RandomStream {self.name!r} seed={self.seed}>"
+
+
+#: Words one :class:`PrefetchStream` refill draws from the generator.
+_PREFETCH = 4096
+_WORDS = struct.Struct(f"<{_PREFETCH}I")
+#: ``32 - (i + 1).bit_length()``: the word shift of Fisher-Yates draw ``i``.
+_SHIFTS = tuple(32 - (i + 1).bit_length() for i in range(_PREFETCH))
+
+
+class PrefetchStream:
+    """The engine's allocation draws, served from prefetched words.
+
+    CPython derives ``shuffle`` and ``choice`` from ``_randbelow(n)``:
+    take the top ``n.bit_length()`` bits of the next 32-bit
+    Mersenne-Twister word and reject values ``>= n``.  One
+    ``getrandbits(32 * 4096)`` call returns the next 4096 words least
+    significant first, so unpacking it little-endian yields exactly the
+    words those draws would have read one at a time: the draws are
+    bit-identical to the wrapped stdlib generator's, and a 32-entry
+    shuffle costs one loop over a tuple instead of 31 method calls.
+
+    Only the draws the engine's allocation stream makes exist here.  It
+    is deliberately not a :class:`RandomStream`: any other draw raises
+    ``AttributeError`` instead of silently reading the generator behind
+    the buffer.
+    """
+
+    __slots__ = ("_rng", "_buf", "_ptr")
+
+    _rng: random.Random
+    _buf: tuple[int, ...]
+    _ptr: int
+
+    @classmethod
+    def adopt(cls, stream: RandomStream) -> "PrefetchStream":
+        """Continue ``stream``'s draws verbatim.
+
+        The adopted generator advances a whole refill at a time, so
+        ``stream`` itself must not be drawn from again.
+        """
+        obj = cls.__new__(cls)
+        obj._rng = stream._rng
+        obj._buf = ()
+        obj._ptr = 0
+        return obj
+
+    def _refill(self) -> tuple[int, ...]:
+        self._buf = _WORDS.unpack(
+            self._rng.getrandbits(32 * _PREFETCH).to_bytes(4 * _PREFETCH, "little")
+        )
+        return self._buf
+
+    def choice(self, seq: Sequence[T]) -> T:
+        """Uniformly random element of a non-empty sequence."""
+        n = len(seq)
+        if not n:
+            raise ValueError("cannot choose from an empty sequence")
+        shift = 32 - n.bit_length()
+        buf = self._buf
+        ptr = self._ptr
+        while True:
+            if ptr >= len(buf):
+                buf = self._refill()
+                ptr = 0
+            j = buf[ptr] >> shift
+            ptr += 1
+            if j < n:
+                self._ptr = ptr
+                return seq[j]
+
+    def shuffle(self, seq: list) -> None:
+        """In-place Fisher-Yates shuffle."""
+        self.shuffle_k(seq, 1)
+
+    def shuffle_k(self, seq: list, k: int) -> None:
+        """``k`` successive :meth:`shuffle` passes over ``seq``.
+
+        The swap indices are a pure function of the word stream, so
+        the fused passes consume exactly the words -- and produce
+        exactly the permutation -- of ``k`` separate shuffles.
+        """
+        n = len(seq)
+        if n < 2 or k <= 0:
+            return  # a 0/1-element Fisher-Yates draws nothing
+        buf = self._buf
+        nb = len(buf)
+        ptr = self._ptr
+        indices = range(n - 1, 0, -1)
+        for _ in range(k):
+            for i in indices:
+                shift = _SHIFTS[i] if i < _PREFETCH else 32 - (i + 1).bit_length()
+                while True:
+                    if ptr >= nb:
+                        buf = self._refill()
+                        nb = _PREFETCH
+                        ptr = 0
+                    j = buf[ptr] >> shift
+                    ptr += 1
+                    if j <= i:
+                        break
+                seq[i], seq[j] = seq[j], seq[i]
+        self._ptr = ptr

@@ -32,20 +32,6 @@ PURITY_ALLOWLIST: Dict[str, str] = {
         "heartbeat only; it can abort a run with PointTimeout (no payload "
         "is produced) but never alters a completed measurement"
     ),
-    "repro.wormhole.batch.BatchStream._mirror": (
-        "constructs a numpy MT19937 without a seed, but its state is "
-        "immediately overwritten with the seeded CPython generator "
-        "state being mirrored -- no ambient entropy can ever reach a "
-        "draw; the property suite proves the mirror equal to the "
-        "stdlib stream draw by draw"
-    ),
-    "repro.wormhole.channel.bump_fault_epoch": (
-        "advances the module-global fault-invalidation token; consumers "
-        "only compare two reads for inequality (cache-invalidation "
-        "guard), so the absolute counter value cannot reach a payload, "
-        "and within one run the bump sequence is a deterministic "
-        "function of the seeded fault plan"
-    ),
     "repro.wormhole.engine.resolve_engine": (
         "reads REPRO_ENGINE only when no explicit engine is passed; "
         "PointSpec.__post_init__ resolves the engine before hashing, so "

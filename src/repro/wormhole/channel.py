@@ -26,32 +26,21 @@ from typing import TYPE_CHECKING, Callable, Optional
 if TYPE_CHECKING:  # pragma: no cover
     from repro.wormhole.packet import Packet
 
-#: Optional observer invoked as ``release_observer(lane)`` just before a
-#: lane frees.  Installed by the opt-in runtime sanitizer
-#: (:mod:`repro.wormhole.sanitizer`, ``REPRO_SANITIZE=1``) to assert
-#: acquire/release pairing; None (the default) costs one comparison.
-release_observer: Optional[Callable[["Lane"], None]] = None
 
-#: Monotonic counter bumped by every :meth:`PhysChannel.fail` /
-#: :meth:`PhysChannel.repair`.  The engine's fast path stamps its
-#: cached blocked-header routing decisions with this epoch, so any
-#: fault-state change anywhere invalidates every cache (conservative
-#: but O(1); faults are rare events).
-fault_epoch: int = 0
+class FaultEpoch:
+    """Fault-state version of one network, shared by all its channels.
 
-
-def bump_fault_epoch() -> int:
-    """Advance the global fault epoch (called by fail/repair).
-
-    The epoch is an invalidation *token*: consumers only ever compare
-    two reads for inequality, never interpret the absolute value, so
-    the process-global counter cannot leak into any result payload.
-    That property is what justifies this function's entry in the purity
-    allowlist (:mod:`repro.verify.flow.allowlist`).
+    Every :meth:`PhysChannel.fail` / :meth:`PhysChannel.repair` bumps
+    ``value``.  The engine's fast path stamps its cached blocked-header
+    routing decisions with it, so any fault-state change in the network
+    invalidates every cache (conservative but O(1); faults are rare
+    events).  Consumers only compare two reads for inequality.
     """
-    global fault_epoch
-    fault_epoch += 1
-    return fault_epoch
+
+    __slots__ = ("value",)
+
+    def __init__(self) -> None:
+        self.value = 0
 
 
 class Lane:
@@ -85,11 +74,12 @@ class Lane:
 
     def release(self) -> None:
         """Free the lane (the owner's tail flit has crossed the wire)."""
-        if release_observer is not None:
-            release_observer(self)
+        ch = self.channel
+        if ch.release_observer is not None:
+            ch.release_observer(self)
         self.owner = None
         self.route_idx = -1
-        self.channel.owned_count -= 1
+        ch.owned_count -= 1
         # ``buf`` intentionally survives: the tail flit may still occupy
         # the downstream buffer until it crosses the next channel.
 
@@ -117,6 +107,8 @@ class PhysChannel:
         "in_active",
         "slowdown",
         "cooldown",
+        "fault_epoch",
+        "release_observer",
     )
 
     def __init__(
@@ -163,6 +155,15 @@ class PhysChannel:
         #: exactly once per cycle on both engine paths; an idle wire
         #: has nothing to rest from).
         self.cooldown = 0
+        #: Bumped by :meth:`fail` / :meth:`repair`; a network shares one
+        #: across its channels (``SimNetwork.fault_epoch``).
+        self.fault_epoch = FaultEpoch()
+        #: Optional ``observer(lane)`` called just before a lane frees.
+        #: Installed by the opt-in runtime sanitizer
+        #: (:mod:`repro.wormhole.sanitizer`, ``REPRO_SANITIZE=1``) on its
+        #: own network's channels to assert acquire/release pairing;
+        #: None (the default) costs one comparison.
+        self.release_observer: Optional[Callable[[Lane], None]] = None
 
     def fail(self) -> None:
         """Inject a fault: new headers can no longer acquire this wire.
@@ -176,12 +177,12 @@ class PhysChannel:
         :meth:`owners`.
         """
         self.faulty = True
-        bump_fault_epoch()
+        self.fault_epoch.value += 1
 
     def repair(self) -> None:
         """Clear an injected fault."""
         self.faulty = False
-        bump_fault_epoch()
+        self.fault_epoch.value += 1
 
     def owners(self) -> list["Packet"]:
         """Distinct packets currently holding a lane of this wire."""

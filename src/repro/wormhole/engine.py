@@ -34,8 +34,7 @@ from typing import Optional
 
 from repro.obs.bus import EventBus
 from repro.sim.core import Environment
-from repro.sim.rng import RandomStream
-from repro.wormhole import channel as channel_mod
+from repro.sim.rng import PrefetchStream, RandomStream
 from repro.wormhole.channel import Lane, PhysChannel
 from repro.wormhole.ledger import FreeRunLedger
 from repro.wormhole.network import SimNetwork
@@ -46,14 +45,13 @@ from repro.wormhole.sanitizer import Sanitizer, sanitize_enabled
 FLITS_PER_MICROSECOND = 20.0
 
 #: Recognised engine paths: the optimized default (span-sleep clock,
-#: one pure-Python free-run ledger), the simple reference
-#: implementation the differential suite certifies it against (one
-#: kernel wake per cycle), and the batch tier (the default plus the
-#: numpy-mirrored allocation RNG of :mod:`repro.wormhole.batch`).  All
-#: three are bit-identical in every simulation observable; batch
-#: requires the optional numpy dependency (``pip install repro[fast]``)
-#: and refuses cleanly without.
-ENGINE_KINDS = ("fast", "reference", "batch")
+#: one pure-Python free-run ledger, prefetched allocation stream) and
+#: the simple reference implementation the differential suite
+#: certifies it against (one kernel wake per cycle, stdlib draws).
+#: Both are bit-identical in every simulation observable.  The retired
+#: ``batch`` tier (``fast`` with a numpy-mirrored allocation stream)
+#: survives as an alias of ``fast`` in :func:`resolve_engine`.
+ENGINE_KINDS = ("fast", "reference")
 
 #: Sort key for the fast path's active channel list.
 _TOPO_ORDER = attrgetter("topo_order")
@@ -80,15 +78,18 @@ def resolve_engine(engine: Optional[str] = None) -> str:
 
     Explicit arguments win; otherwise ``REPRO_ENGINE`` (set e.g. by
     ``python -m repro.experiments --engine=reference``) picks the tier,
-    and the default is ``"fast"``: the span-sleep tier that needs no
-    optional dependency.  The environment variable -- not a
-    thread-local or global -- is the carrier so the choice survives
-    into child processes unchanged;
+    and the default is ``"fast"``.  ``"batch"`` is an alias of
+    ``"fast"``, so it resolves -- and a
+    :class:`~repro.serve.job.PointSpec` hashes it -- as ``"fast"``.
+    The environment variable -- not a thread-local or global -- is the
+    carrier so the choice survives into child processes unchanged;
     :func:`repro.experiments.parallel.parallel_matrix` resolves it once
     and records the tier in its sweep-service job.
     """
     if engine is None:
         engine = os.environ.get("REPRO_ENGINE", "") or "fast"
+    if engine == "batch":
+        engine = "fast"
     if engine not in ENGINE_KINDS:
         raise ValueError(f"engine must be one of {ENGINE_KINDS}, got {engine!r}")
     return engine
@@ -214,21 +215,15 @@ class WormholeEngine:
         #: The engine tier (one of :data:`ENGINE_KINDS`; None defers to
         #: ``REPRO_ENGINE``).  ``fast`` runs the optimized per-cycle
         #: phases (active channel list, cached blocked headers, per-worm
-        #: advance, free-run ledger) under the span-sleep clock, the
-        #: reference tier the straightforward phases one cycle per
-        #: kernel wake, and ``batch`` is ``fast`` with the allocation
-        #: stream served by :class:`repro.wormhole.batch.BatchStream`.
-        #: All tiers make bit-identical decisions -- see
+        #: advance, free-run ledger) under the span-sleep clock, with
+        #: the allocation stream served by a
+        #: :class:`~repro.sim.rng.PrefetchStream`; the reference tier
+        #: runs the straightforward phases one cycle per kernel wake on
+        #: the stdlib stream.  Both make bit-identical decisions -- see
         #: ``tests/differential``.
-        kind = resolve_engine(engine)
-        self.fast = kind != "reference"
-        if kind == "batch":
-            from repro.wormhole import batch as batch_mod
-
-            batch_mod.require_numpy()
-            # Serve the engine's allocation stream from the mirrored
-            # MT19937 (bit-identical draws, bulk-prefetched words).
-            self.rng = batch_mod.BatchStream.adopt(self.rng)
+        self.fast = resolve_engine(engine) == "fast"
+        if self.fast:
+            self.rng = PrefetchStream.adopt(self.rng)
         #: Count of pending headers whose blocked-decision cache is
         #: valid at the current fault epoch.  When it covers the whole
         #: routing queue, Phase A's scan is provably a no-op beyond the
@@ -289,7 +284,8 @@ class WormholeEngine:
         #: and a fault-epoch guard; the fast Phase A visits only these
         #: instead of scanning every backlogged node.
         self._inj_ready: set[int] = set()
-        self._inj_epoch = channel_mod.fault_epoch
+        self._fault_epoch = network.fault_epoch
+        self._inj_epoch = self._fault_epoch.value
         #: Opt-in runtime invariant checker (REPRO_SANITIZE=1, or the
         #: explicit ``sanitize=True``); None costs nothing per cycle.
         self.sanitizer = None
@@ -297,10 +293,6 @@ class WormholeEngine:
             sanitize = sanitize_enabled()
         if sanitize:
             self.sanitizer = Sanitizer(network)
-            # Pairing checks hook the channel layer globally; the rule
-            # is lane-local, so one observer serves any number of
-            # engines.
-            channel_mod.release_observer = self.sanitizer.on_release
         #: The structured telemetry bus every state change publishes
         #: into (see :mod:`repro.obs.bus`).  With no sinks attached the
         #: hot path pays one hoisted flag read per cycle, nothing more.
@@ -636,7 +628,7 @@ class WormholeEngine:
           only free via ``Lane.release``) or the fault state changes
           (which can alter the usable set itself).  Releases wake the
           registered waiters via :meth:`_wake_waiters`; fault flips
-          bump the channel layer's global ``fault_epoch``.
+          bump the network's shared ``fault_epoch``.
         * The header's candidate set is a pure function of its routing
           state, which does not change while it is blocked -- so the
           cached ``usable`` list republished to the bus is identical
@@ -650,7 +642,7 @@ class WormholeEngine:
         active = self._active
         moving = self._moving
         now = self.env.now
-        epoch = channel_mod.fault_epoch
+        epoch = self._fault_epoch.value
         if self._inj_epoch != epoch:
             # A fault flipped somewhere since the last cycle: it may
             # have cut off (or reconnected) any node, so conservatively
@@ -1221,7 +1213,7 @@ class WormholeEngine:
             if p._blk_token == token:
                 p._blk_token = token + 1
                 p._blk_usable = None
-                if p._blk_epoch == channel_mod.fault_epoch:
+                if p._blk_epoch == self._fault_epoch.value:
                     self._blk_valid -= 1
 
     def transmit(self, ch: PhysChannel) -> Optional[Lane]:
@@ -1308,7 +1300,7 @@ class WormholeEngine:
         # waiter registrations die via the token bump.  The worm-list
         # flag drops too; the entry itself is compacted out lazily.
         if p._blk_usable is not None:
-            if p._blk_epoch == channel_mod.fault_epoch:
+            if p._blk_epoch == self._fault_epoch.value:
                 self._blk_valid -= 1
             p._blk_usable = None
         p._blk_token += 1

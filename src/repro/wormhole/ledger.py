@@ -1,4 +1,4 @@
-"""Free-run ledger of the optimized engine tiers (``fast`` and ``batch``).
+"""Free-run ledger of the optimized engine tier (``fast``).
 
 A worm whose header streams into its destination behind a perfectly
 compressed pipeline has a deterministic remaining life (see
@@ -12,8 +12,8 @@ integer compare.  A min-heap of bucket keys backs
 sleep across provably event-free cycle spans
 (``WormholeEngine._span_cycles``).
 
-Pure Python on purpose: the default tier must stay numpy-free, so that
-numpy's import time never lands in its setup.
+Pure Python on purpose: the engine stays numpy-free, so that numpy's
+import time never lands in its setup.
 """
 
 from __future__ import annotations

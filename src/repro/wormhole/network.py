@@ -24,7 +24,7 @@ from repro.topology.bmin import BidirectionalMIN
 from repro.topology.permutations import from_digits, to_digits
 from repro.topology.mins import build_min
 from repro.topology.spec import MINSpec
-from repro.wormhole.channel import PhysChannel
+from repro.wormhole.channel import FaultEpoch, PhysChannel
 from repro.wormhole.packet import Packet
 
 
@@ -45,6 +45,7 @@ class SimNetwork:
     kind: NetworkKind
     N: int
     topo_channels: list[PhysChannel]
+    fault_epoch: FaultEpoch
 
     #: True when routes acquire channels in ascending topological
     #: order, the precondition of the engine's per-worm Phase B.  The
@@ -80,8 +81,11 @@ class SimNetwork:
         return None
 
     def _finalize_topo(self, channels: list[PhysChannel]) -> None:
+        # One fault-state version for the whole network (see FaultEpoch).
+        self.fault_epoch = FaultEpoch()
         for order, ch in enumerate(channels):
             ch.topo_order = order
+            ch.fault_epoch = self.fault_epoch
         self.topo_channels = channels
 
     @property

@@ -18,9 +18,10 @@ simulator's core invariants after each cycle:
 
 The checks are wired into the engine (see
 ``WormholeEngine.step_cycle`` / ``Lane.release``) but cost *nothing*
-when disabled: the engine holds ``sanitizer = None`` and the channel
-layer checks one module flag per release.  CI runs the whole tier-1
-suite under ``REPRO_SANITIZE=1`` (the ``sanitize`` job).
+when disabled: the engine holds ``sanitizer = None`` and a release
+checks one channel slot, which only a sanitizer fills (on its own
+network's channels).  CI runs the whole tier-1 suite under
+``REPRO_SANITIZE=1`` (the ``sanitize`` job).
 
 ``REPRO_SANITIZE_EVERY=N`` (default 1) thins the per-cycle sweep to
 every N-th cycle for long soak runs; the release-pairing check always
@@ -63,18 +64,13 @@ class Sanitizer:
         self.every = check_interval()
         self.cycles_checked = 0
         self.violations = 0  # incremented before raising, for forensics
-        # The release hook is module-global (one observer at a time),
-        # so remember which channels are *ours*: releases on channels
-        # outside this network (unit-test fixtures, other engines) are
-        # not this sanitizer's business.
-        self._channel_ids = {id(ch) for ch in network.topo_channels}
+        for ch in network.topo_channels:
+            ch.release_observer = self.on_release
 
     # -- release pairing (called from the channel layer) -----------------
 
     def on_release(self, lane: "Lane") -> None:
         """Validate one lane release (tail crossed, or explicit abort)."""
-        if id(lane.channel) not in self._channel_ids:
-            return  # not a channel of this sanitizer's network
         owner = lane.owner
         if owner is None:  # releasing a free lane: always a bug
             self._fail(f"release of unowned lane {lane!r}")
@@ -111,8 +107,6 @@ class Sanitizer:
           epoch really has no free, non-faulty-consistent lane (the
           cache must never hide a grantable channel).
         """
-        from repro.wormhole import channel as channel_mod
-
         listed = {id(ch) for ch in engine._active}
         if len(listed) != len(engine._active):
             self._fail("fast path: active list holds duplicate channels")
@@ -130,7 +124,7 @@ class Sanitizer:
                     f"{ch.label}: in_active={ch.in_active} disagrees with "
                     "actual active-list membership"
                 )
-        epoch = channel_mod.fault_epoch
+        epoch = self.network.fault_epoch.value
         for p in engine._pending_route:
             usable = p._blk_usable
             if usable is None or p._blk_epoch != epoch:

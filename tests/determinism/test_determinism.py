@@ -9,8 +9,9 @@ worker scheduling, and the engine fast path.  Three certificates:
 * ``parallel_sweep`` with 1 worker and with 4 workers returns the
   same measurements (process-pool dispatch order must not leak into
   results);
-* the fast, reference, and batch engines export byte-identical files,
-  so the engine switch can never silently change published numbers.
+* the fast and reference engines (and ``batch``, fast's alias) export
+  byte-identical files, so the engine switch can never silently change
+  published numbers.
 """
 
 from __future__ import annotations
@@ -106,16 +107,8 @@ def test_fast_and_reference_exports_byte_identical(tmp_path: Path) -> None:
 
 
 def test_batch_and_fast_exports_byte_identical(tmp_path: Path) -> None:
-    """REPRO_ENGINE=batch publishes the exact bytes of the fast tier:
-    the SoA kernel is an execution detail, never a result
-    change.  Skipped when numpy (the batch tier's optional extra) is
-    absent."""
-    from repro.wormhole.batch import numpy_available
-
-    if not numpy_available():
-        import pytest
-
-        pytest.skip("batch tier requires numpy")
+    """REPRO_ENGINE=batch, the retired tier's name, is an alias of fast
+    and publishes its exact bytes."""
     batch, fast = tmp_path / "batch", tmp_path / "fast"
     batch.mkdir()
     fast.mkdir()

@@ -8,23 +8,19 @@ packets take the same routes on the same cycles, block on the same
 candidate sets, and produce byte-equal delivery records and
 measurement windows.
 
-Three tiers are compared.  ``reference`` is the oracle: one kernel
-wake per cycle, full scans, binary-heap scheduler.  Both optimized
-tiers -- ``fast`` (calendar scheduler, active-set allocation, per-worm
-advance, free-run ledger, deferred service-order shuffles, span-sleep
-clock with inline ticks) and ``batch`` (``fast`` with the allocation
-stream served from a numpy-mirrored MT19937) -- must match it on every
-simulation observable: measurement window, all engine counters,
-delivery records, ``cycles_run``, ``env.now``,
-governor/watchdog/injector/transport tallies.  They are *not* compared
-on the kernel's event-count telemetry (``events_scheduled`` /
-``events_fired``): skipping provably-empty wake events is precisely
-what the span-sleep clock does, and those two counters exist to
-measure scheduler cost, not simulation behaviour.
+``reference`` is the oracle: one kernel wake per cycle, full scans,
+binary-heap scheduler, stdlib draws.  The optimized ``fast`` tier
+(calendar scheduler, active-set allocation, per-worm advance, free-run
+ledger, deferred service-order shuffles, span-sleep clock with inline
+ticks, prefetched allocation stream) must match it on every simulation
+observable: measurement window, all engine counters, delivery records,
+``cycles_run``, ``env.now``, governor/watchdog/injector/transport
+tallies.  It is *not* compared on the kernel's event-count telemetry
+(``events_scheduled`` / ``events_fired``): skipping provably-empty
+wake events is precisely what the span-sleep clock does, and those two
+counters exist to measure scheduler cost, not simulation behaviour.
 ``test_engines.py::test_span_clock_fires_fewer_kernel_events`` pins
-that the difference is real and points the expected way.  The batch
-leg is skipped silently when numpy is absent (the batch tier refuses
-to construct without it).
+that the difference is real and points the expected way.
 
 Every helper here builds its point exactly like
 :func:`repro.experiments.runner.build_point` does (same RNG fork
@@ -48,20 +44,9 @@ from repro.experiments.runner import (
 from repro.experiments.workload_spec import WorkloadSpec
 from repro.faults.mtbf import fabric_channels
 from repro.faults.plan import FaultEvent, FaultPlan
-from repro.wormhole import channel as channel_mod
 
 #: Network kinds under test (all four of the paper's networks).
 NETWORK_KINDS = ("tmin", "dmin", "vmin", "bmin")
-
-try:
-    from repro.wormhole.batch import numpy_available
-
-    BATCH_AVAILABLE = numpy_available()
-except Exception:  # pragma: no cover - defensive
-    BATCH_AVAILABLE = False
-
-#: The optimized tiers certified against ``reference``.
-OPTIMIZED_TIERS = ("fast", "batch") if BATCH_AVAILABLE else ("fast",)
 
 #: Positions of the kernel event counters (``env.events_scheduled``,
 #: ``env.events_fired``) in a :func:`run_case` snapshot.  Comparisons
@@ -158,7 +143,6 @@ def run_case(
         arrival=arrival or "poisson",
     )
     saved_env = os.environ.get("REPRO_SANITIZE")
-    saved_observer = channel_mod.release_observer
     if sanitize:
         os.environ["REPRO_SANITIZE"] = "1"
     try:
@@ -226,7 +210,6 @@ def run_case(
                 os.environ.pop("REPRO_SANITIZE", None)
             else:
                 os.environ["REPRO_SANITIZE"] = saved_env
-            channel_mod.release_observer = saved_observer
     stats = eng.stats
     wd = eng.watchdog
     return (
@@ -340,18 +323,16 @@ def strip_kernel_counters(snapshot: tuple) -> tuple:
 
 
 def assert_identical(kind: str, pattern: str, load: float, **kwargs) -> None:
-    """Run a case under every engine tier and assert snapshot equality.
+    """Run a case under both engine tiers and assert snapshot equality.
 
-    Each optimized tier must match the reference on every simulation
-    observable (kernel event counters excluded -- see the module
-    docstring).
+    ``fast`` must match ``reference`` on every simulation observable
+    (kernel event counters excluded -- see the module docstring).
     """
     ref = strip_kernel_counters(
         run_case(kind, pattern, load, "reference", **kwargs)
     )
-    for tier in OPTIMIZED_TIERS:
-        got = run_case(kind, pattern, load, tier, **kwargs)
-        assert strip_kernel_counters(got) == ref, (
-            f"{tier}/reference divergence at {kind}/{pattern}/load={load} "
-            f"({kwargs or 'no options'})"
-        )
+    got = strip_kernel_counters(run_case(kind, pattern, load, "fast", **kwargs))
+    assert got == ref, (
+        f"fast/reference divergence at {kind}/{pattern}/load={load} "
+        f"({kwargs or 'no options'})"
+    )

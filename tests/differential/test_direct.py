@@ -4,15 +4,14 @@ The direct networks exercise engine paths the MIN cases cannot: the
 ``worm_phase_ok`` opt-out (adaptive acquisition order violates the
 per-worm Phase B's ascending-rank assumption), the ``preferred_lane``
 credit/round-robin override, and the ``vlink_slowdown`` channel
-cooldowns.  Each case runs the same seeded point under every engine
-tier and asserts byte-equal snapshots (see
+cooldowns.  Each case runs the same seeded point under both engine
+tiers and asserts byte-equal snapshots (see
 :mod:`tests.differential.harness`).
 """
 
 import pytest
 
 from tests.differential.harness import (
-    OPTIMIZED_TIERS,
     EventRecorder,
     assert_identical,
     run_case,
@@ -61,8 +60,7 @@ def test_direct_event_streams_identical():
     ref_rec = EventRecorder()
     ref = run_case("torus3d", "uniform", 0.6, "reference",
                    sink=ref_rec, **kwargs)
-    for tier in OPTIMIZED_TIERS:
-        rec = EventRecorder()
-        got = run_case("torus3d", "uniform", 0.6, tier, sink=rec, **kwargs)
-        assert strip_kernel_counters(got) == strip_kernel_counters(ref)
-        assert rec.events == ref_rec.events
+    rec = EventRecorder()
+    got = run_case("torus3d", "uniform", 0.6, "fast", sink=rec, **kwargs)
+    assert strip_kernel_counters(got) == strip_kernel_counters(ref)
+    assert rec.events == ref_rec.events

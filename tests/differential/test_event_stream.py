@@ -1,7 +1,7 @@
 """Event-for-event certification of the optimized engines' publish sites.
 
 Attaching a hot bus sink (the :class:`EventRecorder`) makes the fast
-and batch engines take their exact-event-order channel sweep, and
+engine take its exact-event-order channel sweep, and
 every inject / acquire / block / release / transmit / deliver publish
 must then match the reference engine's stream element-for-element --
 ordering included.  This is strictly stronger than end-state equality:
@@ -15,7 +15,6 @@ import pytest
 
 from tests.differential.harness import (
     NETWORK_KINDS,
-    OPTIMIZED_TIERS,
     EventRecorder,
     run_case,
     strip_kernel_counters,
@@ -23,20 +22,19 @@ from tests.differential.harness import (
 
 
 def _assert_streams_match(kind: str, load: float, **kwargs) -> None:
-    """Every optimized tier reproduces the reference's event stream."""
+    """The fast tier reproduces the reference's event stream."""
     rec_ref = EventRecorder()
     snap_ref = run_case(kind, "uniform", load, "reference", sink=rec_ref, **kwargs)
-    for tier in OPTIMIZED_TIERS:
-        rec = EventRecorder()
-        snap = run_case(kind, "uniform", load, tier, sink=rec, **kwargs)
-        assert strip_kernel_counters(snap) == strip_kernel_counters(snap_ref)
-        # Compare element-wise for a readable first-divergence message.
-        for i, (a, b) in enumerate(zip(rec.events, rec_ref.events)):
-            assert a == b, (
-                f"{kind}/load={load}: {tier} event stream diverges at "
-                f"index {i}: {tier}={a} reference={b}"
-            )
-        assert len(rec.events) == len(rec_ref.events)
+    rec = EventRecorder()
+    snap = run_case(kind, "uniform", load, "fast", sink=rec, **kwargs)
+    assert strip_kernel_counters(snap) == strip_kernel_counters(snap_ref)
+    # Compare element-wise for a readable first-divergence message.
+    for i, (a, b) in enumerate(zip(rec.events, rec_ref.events)):
+        assert a == b, (
+            f"{kind}/load={load}: fast event stream diverges at "
+            f"index {i}: fast={a} reference={b}"
+        )
+    assert len(rec.events) == len(rec_ref.events)
 
 
 @pytest.mark.parametrize("kind", NETWORK_KINDS)

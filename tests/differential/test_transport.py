@@ -19,7 +19,7 @@ These tests storm every network (hard MTBF-style fault plan + loss at
 the admission door where configured) and assert the complete
 snapshots -- measurement with the transport counters, delivery
 records, end-to-end tallies, and the full sorted outcome map -- are
-equal across the fast, reference, and batch tiers.  A short
+equal across the fast and reference tiers.  A short
 ``rto_base`` makes timeouts actually fire inside the 12k-cycle runs.
 """
 

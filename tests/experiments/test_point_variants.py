@@ -8,7 +8,7 @@ and measure), so any drift in RNG fork labels, layer construction order
 or the warm-up/window protocol shows up here as a changed digest.
 
 The engine tier never changes results, so the same digests hold under
-``REPRO_ENGINE=fast``, ``batch`` and ``reference`` and under
+``REPRO_ENGINE=fast`` and ``reference`` and under
 ``REPRO_SANITIZE=1``.
 """
 

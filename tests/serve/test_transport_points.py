@@ -5,8 +5,8 @@ path (:func:`repro.serve.compute._run_transport_point`).  These tests
 pin the contracts that keep the cache sound around it: canonical
 normalization (two spellings of one config cannot split keys), key
 stability for pre-existing non-transport jobs, mutual exclusion with
-the stability path, engine-tier key equivalence (batch hashes as
-fast), and deterministic payloads carrying the end-to-end tallies.
+the stability path, engine-tier key equivalence (the retired
+``batch`` name hashes as fast), and deterministic payloads carrying the end-to-end tallies.
 """
 
 import json
@@ -159,7 +159,7 @@ def test_payload_is_json_serializable(payload):
 
 def test_payload_identical_across_engines(payload):
     (point,) = spec_with({"rto_base": 64.0, "rto_max": 1024.0}).points()
-    for engine in ("reference", "batch"):
+    for engine in ("fast", "reference"):
         other = run_point_spec(
             PointSpec(
                 point.network, point.workload, point.load, point.seed,

@@ -8,7 +8,7 @@ bar: every admitted message of a non-aborted flow is delivered exactly
 once (duplicates suppressed), retransmissions are bounded, outcomes
 all settle (no deadlock or livelock -- quiesce returns and the
 watchdog saw no deadlock verdicts), and the whole storm is
-bit-identical across the reference, fast, and batch engine tiers.
+bit-identical across the reference and fast engine tiers.
 """
 
 import pytest
@@ -22,7 +22,6 @@ from repro.stability.admission import SHED_NEWEST
 from repro.traffic.trace import TraceWorkload, synthesize_trace
 from repro.transport import ReliableTransport, TransportConfig
 from repro.wormhole.engine import WormholeEngine
-from tests.differential.harness import BATCH_AVAILABLE
 
 #: All four of the paper's MINs plus one direct fabric, small geometry.
 STORM_KINDS = ("tmin", "dmin", "vmin", "bmin", "mesh3d")
@@ -139,6 +138,3 @@ def test_storm_bit_identical_across_tiers(kind):
     ref = _snapshot(kind, "reference")
     fast = _snapshot(kind, "fast")
     assert fast == ref
-    if BATCH_AVAILABLE:
-        batch = _snapshot(kind, "batch")
-        assert batch == ref

@@ -11,19 +11,10 @@ from repro.sim import Environment, ProcessCrash
 from repro.sim.rng import RandomStream
 from repro.verify import Sanitizer, SanitizerError, sanitize_enabled
 from repro.wormhole import WormholeEngine, build_network
-from repro.wormhole import channel as channel_mod
 from repro.wormhole.packet import PacketState
 from repro.wormhole.sanitizer import check_interval
 
 SRC = Path(__file__).resolve().parents[2] / "src"
-
-
-@pytest.fixture(autouse=True)
-def _restore_release_observer():
-    """The pairing hook is module-global; never leak it across tests."""
-    saved = channel_mod.release_observer
-    yield
-    channel_mod.release_observer = saved
 
 
 def make_engine(kind="tmin", sanitize=True, **kwargs):
@@ -195,14 +186,29 @@ def test_catches_release_of_free_lane():
         free.release()
 
 
+def test_two_sanitized_engines_both_catch_early_release():
+    """Each sanitizer hooks its own network's channels: a second
+    sanitized engine in the process must not silence the first."""
+    env1, eng1 = make_engine()
+    env2, eng2 = make_engine("dmin")
+    for env, eng in ((env1, eng1), (env2, eng2)):
+        _run_until_in_flight(env, eng)
+    for eng in (eng1, eng2):
+        lane = _first_owned_lane(eng)
+        with pytest.raises(SanitizerError, match="pairing"):
+            lane.release()
+        assert eng.sanitizer.violations == 1
+
+
 def test_foreign_channels_are_not_policed():
-    """The global release hook ignores channels outside the sanitized
-    network (unit-test fixtures, other engines)."""
+    """Channels outside every sanitized network (unit-test fixtures,
+    unsanitized engines) carry no release hook."""
     from repro.wormhole.channel import PhysChannel
     from repro.wormhole.packet import Packet
 
-    _, eng = make_engine()  # installs the observer
+    _, eng = make_engine()  # hooks its own channels only
     ch = PhysChannel("standalone")
+    assert ch.release_observer is None
     lane = ch.lanes[0]
     lane.acquire(Packet(0, 0, 1, 4, 0.0))
     lane.release()  # mid-worm, but not our network: no SanitizerError
@@ -210,9 +216,9 @@ def test_foreign_channels_are_not_policed():
 
 
 def test_zero_cost_when_disabled():
-    """sanitize=False engines neither create a Sanitizer nor hook the
-    channel layer."""
-    channel_mod.release_observer = None
+    """sanitize=False engines neither create a Sanitizer nor hook their
+    channels -- even after a sanitized engine was built."""
+    make_engine()
     _, eng = make_engine(sanitize=False)
     assert eng.sanitizer is None
-    assert channel_mod.release_observer is None
+    assert all(ch.release_observer is None for ch in eng.network.topo_channels)

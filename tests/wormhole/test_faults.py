@@ -463,33 +463,27 @@ def test_abort_flushes_reacquired_lane_correctly():
     flush went negative and conjured phantom flits into the 1-flit
     buffer.  Found by the differential suite's sanitized fault cases.
     """
-    from repro.wormhole import channel as channel_mod
-
     env = Environment()
     net = build_network("tmin", k=2, n=3)
     eng = WormholeEngine(env, net, rng=RandomStream(7), sanitize=True)
-    saved = channel_mod.release_observer
-    try:
-        victim = eng.offer(0, 6, 3)   # injects first (FCFS)
-        follower = eng.offer(0, 5, 3)  # reuses the injection lane
-        eng.start()
-        for _ in range(64):
-            eng.run_cycles(1)
-            if (
-                victim.state is PacketState.ACTIVE
-                and victim.lanes
-                and victim.lanes[0].owner is follower
-            ):
-                break
-        else:
-            pytest.fail("follower never re-acquired the injection lane")
-        inj_lane = victim.lanes[0]
-        eng.abort_packet(victim)
-        assert victim.state is PacketState.FAILED
-        # The 1-flit buffer bound must survive the flush (the sanitizer
-        # would also catch a violation on the next cycle).
-        assert 0 <= inj_lane.buf <= 1
-        eng.drain()
-        assert follower.state is PacketState.DELIVERED
-    finally:
-        channel_mod.release_observer = saved
+    victim = eng.offer(0, 6, 3)   # injects first (FCFS)
+    follower = eng.offer(0, 5, 3)  # reuses the injection lane
+    eng.start()
+    for _ in range(64):
+        eng.run_cycles(1)
+        if (
+            victim.state is PacketState.ACTIVE
+            and victim.lanes
+            and victim.lanes[0].owner is follower
+        ):
+            break
+    else:
+        pytest.fail("follower never re-acquired the injection lane")
+    inj_lane = victim.lanes[0]
+    eng.abort_packet(victim)
+    assert victim.state is PacketState.FAILED
+    # The 1-flit buffer bound must survive the flush (the sanitizer
+    # would also catch a violation on the next cycle).
+    assert 0 <= inj_lane.buf <= 1
+    eng.drain()
+    assert follower.state is PacketState.DELIVERED

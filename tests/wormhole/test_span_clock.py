@@ -17,7 +17,7 @@ from pathlib import Path
 import pytest
 
 from repro.experiments.config import PRESETS, NetworkConfig
-from repro.experiments.runner import build_point
+from repro.experiments.runner import build_point, install_workload, measure, warm_up
 from repro.experiments.workload_spec import WorkloadSpec
 from repro.traffic.workload import MessageSizeModel
 
@@ -35,6 +35,24 @@ def streaming_point(engine=None, load=0.1):
     workload = WorkloadSpec(pattern="uniform").builder(cfg)(load)
     workload.install(env, eng, root.fork(f"workload/{network.label}/{load}"))
     return env, eng
+
+
+def contended_point():
+    """A default-tier DMIN point at saturation with 64-flit worms, run
+    through its measurement window on the point lifecycle; returns the
+    engine."""
+    cfg = replace(
+        PRESETS["smoke"], warmup_packets=10, measure_packets=40,
+        sizes=MessageSizeModel("fixed", 64, 64),
+    )
+    network = NetworkConfig("dmin")
+    load = 1.0
+    _, eng, root = build_point(network, load, cfg)
+    workload = WorkloadSpec(pattern="uniform").builder(cfg)(load)
+    install_workload(eng, workload, root.fork(f"workload/{network.label}/{load}"))
+    warm_up(eng, cfg)
+    measure(eng, cfg)
+    return eng
 
 
 def _count_ticks(eng) -> list:
@@ -94,15 +112,20 @@ def test_hot_bus_sink_switches_span_sleep_off(default_tier):
 
 
 def test_default_tier_point_imports_no_numpy():
-    """A fresh process that builds and runs a default-tier point never
-    imports numpy (the batch tier's optional dependency)."""
+    """A fresh process that runs a streaming and a contended
+    default-tier point never imports numpy, and the contended point
+    draws from the prefetched allocation stream."""
     code = (
         "import sys\n"
-        "from tests.wormhole.test_span_clock import CYCLES, streaming_point\n"
+        "from repro.sim.rng import PrefetchStream\n"
+        "from tests.wormhole.test_span_clock import (\n"
+        "    CYCLES, contended_point, streaming_point)\n"
         "env, eng = streaming_point()\n"
         "eng.start()\n"
         "env.run(until=CYCLES)\n"
         "assert eng.cycles_skipped > 0, 'no span was taken'\n"
+        "eng = contended_point()\n"
+        "assert isinstance(eng.rng, PrefetchStream), eng.rng\n"
         "assert 'numpy' not in sys.modules, 'the default tier imported numpy'\n"
     )
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(SRC), str(SRC.parent)]))
