@@ -6,13 +6,13 @@ Two harnesses share this module:
   per second for each network kind under a fixed uniform load, and the
   cost of network construction;
 * a CLI perf gate (``python benchmarks/bench_engine.py``) that times
-  the N=64 uniform-traffic load sweep under both engine tiers
-  (reference, fast), records the schema-3 result in
-  ``benchmarks/BENCH_engine.json``, and -- with ``--check`` -- fails
-  when an absolute tier gate breaks (the default fast tier >= 10x
-  reference on the sweep and >= 20x reference on the streaming point)
-  or a gated ratio regressed more than 20% against the committed
-  baseline.  The gate compares *ratios*, not absolute seconds, so it is
+  the N=64 uniform-traffic load sweeps (DMIN and the multi-lane VMIN)
+  under both engine tiers (reference, fast), records the schema-4
+  result in ``benchmarks/BENCH_engine.json``, and -- with ``--check``
+  -- fails when an absolute tier gate breaks (the default fast tier
+  >= 10x reference on the DMIN sweep and >= 20x reference on the
+  streaming point) or a gated ratio regressed more than 20% against
+  the committed baseline.  The gate compares *ratios*, not absolute seconds, so it is
   stable across machines of different speed (CI runners vs. laptops).
 
     PYTHONPATH=src python benchmarks/bench_engine.py          # rebaseline
@@ -97,19 +97,24 @@ def test_single_packet_end_to_end(benchmark):
 
 # ------------------------------------------------------------ CLI perf gate
 #
-# Schema 3 (two engine tiers).  Two scenarios, both the paper's N=64
-# uniform-traffic DMIN geometry with paper-fidelity 1024-flit messages
+# Schema 4 (two engine tiers).  Three scenarios, all the paper's N=64
+# uniform-traffic geometry with paper-fidelity 1024-flit messages
 # (the paper's longest; the figures fix the message length per curve):
 #
-# * ``sweep``     -- the offered-load ladder.  Gate: fast >= 10x
-#                    reference.
-# * ``streaming`` -- the load-0.1 point alone: long wormholes streaming
-#                    through a quiet network, the regime the span-sleep
-#                    clock targets.  Gate: fast >= 20x reference.
+# * ``sweep``      -- the DMIN offered-load ladder.  Gate: fast >= 10x
+#                     reference.
+# * ``streaming``  -- the DMIN load-0.1 point alone: long wormholes
+#                     streaming through a quiet network, the regime the
+#                     span-sleep clock targets.  Gate: fast >= 20x
+#                     reference.
+# * ``vmin_sweep`` -- the same ladder on the VMIN (two virtual channels
+#                     per wire), with a shorter window: the channel
+#                     sweep's round robin and its solo-wire free-run.
+#                     No absolute floor; regression-gated only.
 #
-# ``--check`` re-times both scenarios and fails when either absolute
-# gate breaks or a gated ratio regressed more than ``--tolerance``
-# against the committed baseline.  Gating ratios (not seconds) keeps
+# ``--check`` re-times every scenario and fails when an absolute gate
+# breaks or a gated ratio regressed more than ``--tolerance`` against
+# the committed baseline.  Gating ratios (not seconds) keeps
 # the check stable across machines of different speed.
 
 #: Absolute floors of the default tier over the reference.
@@ -120,6 +125,7 @@ GATE_STREAMING_FAST_OVER_REFERENCE = 20.0
 REGRESSION_GATED = (
     ("sweep", "fast_over_reference"),
     ("streaming", "fast_over_reference"),
+    ("vmin_sweep", "fast_over_reference"),
 )
 
 SWEEP_LOADS = (0.1, 0.2, 0.4, 0.6, 0.8, 1.0)
@@ -127,6 +133,8 @@ STREAMING_LOADS = (0.1,)
 _MESSAGE_FLITS = 1024
 _WARMUP_PACKETS = 60
 _MEASURE_PACKETS = 300
+#: The VMIN leg's window: its reference tier is the slowest of all.
+_VMIN_MEASURE_PACKETS = 100
 _MAX_CYCLES = 600_000
 #: A tier keeps repeating a scenario until it has spent this long on it:
 #: the optimized tiers finish the streaming point in ~50 ms, and a
@@ -134,7 +142,7 @@ _MAX_CYCLES = 600_000
 _MIN_TIMED_SECONDS = 1.0
 
 
-def _bench_cfg():
+def _bench_cfg(measure_packets: int = _MEASURE_PACKETS):
     """The timing RunConfig: full-fidelity sizes, shortened windows."""
     from dataclasses import replace
 
@@ -143,16 +151,16 @@ def _bench_cfg():
     return replace(
         PRESETS["full"],
         warmup_packets=_WARMUP_PACKETS,
-        measure_packets=_MEASURE_PACKETS,
+        measure_packets=measure_packets,
         max_cycles=_MAX_CYCLES,
         sizes=MessageSizeModel("fixed", _MESSAGE_FLITS, _MESSAGE_FLITS),
     )
 
 
 def _sweep_seconds(
-    engine_name: str, loads: tuple, repeats: int
+    engine_name: str, loads: tuple, repeats: int, kind: str, cfg
 ) -> tuple[float, object]:
-    """Best wall-clock of the N=64 uniform DMIN sweep over at least
+    """Best wall-clock of the N=64 uniform ``kind`` sweep over at least
     ``repeats`` runs and at least ``_MIN_TIMED_SECONDS`` of timing."""
     import time
 
@@ -160,8 +168,7 @@ def _sweep_seconds(
     from repro.experiments.runner import sweep
     from repro.experiments.workload_spec import WorkloadSpec
 
-    cfg = _bench_cfg()
-    network = NetworkConfig("dmin")  # N = 64 (k=4, n=3)
+    network = NetworkConfig(kind)  # N = 64 (k=4, n=3)
     builder = WorkloadSpec(pattern="uniform").builder(cfg)
     best = float("inf")
     result = None
@@ -180,10 +187,14 @@ def _sweep_seconds(
     return best, result
 
 
-def _time_scenario(loads: tuple, repeats: int) -> dict:
+def _time_scenario(
+    loads: tuple, repeats: int, kind: str = "dmin",
+    measure_packets: int = _MEASURE_PACKETS,
+) -> dict:
     """Time both engines on one load set; assert they agree."""
-    ref_s, ref = _sweep_seconds("reference", loads, repeats)
-    fast_s, fast = _sweep_seconds("fast", loads, repeats)
+    cfg = _bench_cfg(measure_packets)
+    ref_s, ref = _sweep_seconds("reference", loads, repeats, kind, cfg)
+    fast_s, fast = _sweep_seconds("fast", loads, repeats, kind, cfg)
     assert fast.points == ref.points, (
         "fast and reference engines disagree -- run tests/differential"
     )
@@ -195,10 +206,10 @@ def _time_scenario(loads: tuple, repeats: int) -> dict:
 
 
 def run_gate(repeats: int = 3) -> dict:
-    """Time both engine tiers on both scenarios; return the JSON-ready
-    schema-3 record."""
+    """Time both engine tiers on every scenario; return the JSON-ready
+    schema-4 record."""
     return {
-        "schema": 3,
+        "schema": 4,
         "scenario": {
             "network": "dmin",
             "nodes": 64,
@@ -208,6 +219,8 @@ def run_gate(repeats: int = 3) -> dict:
             "measure_packets": _MEASURE_PACKETS,
             "sweep_loads": list(SWEEP_LOADS),
             "streaming_loads": list(STREAMING_LOADS),
+            "vmin_sweep_network": "vmin",
+            "vmin_sweep_measure_packets": _VMIN_MEASURE_PACKETS,
             "repeats": repeats,
             "min_timed_seconds": _MIN_TIMED_SECONDS,
         },
@@ -217,6 +230,9 @@ def run_gate(repeats: int = 3) -> dict:
         },
         "sweep": _time_scenario(SWEEP_LOADS, repeats),
         "streaming": _time_scenario(STREAMING_LOADS, repeats),
+        "vmin_sweep": _time_scenario(
+            SWEEP_LOADS, repeats, "vmin", _VMIN_MEASURE_PACKETS
+        ),
     }
 
 
@@ -242,7 +258,7 @@ def main(argv=None) -> int:
     import pathlib
 
     parser = argparse.ArgumentParser(
-        description="engine perf gate: reference vs fast on the N=64 sweep"
+        description="engine perf gate: reference vs fast on the N=64 sweeps"
     )
     parser.add_argument(
         "--check",
@@ -262,10 +278,10 @@ def main(argv=None) -> int:
     path = pathlib.Path(__file__).parent / "BENCH_engine.json"
 
     record = run_gate(repeats=args.repeats)
-    for name in ("sweep", "streaming"):
+    for name in ("sweep", "streaming", "vmin_sweep"):
         row = record[name]
         print(
-            f"{name:9s}  reference {row['reference_seconds']:6.2f}s   "
+            f"{name:10s}  reference {row['reference_seconds']:6.2f}s   "
             f"fast {row['fast_seconds']:6.2f}s   "
             f"fast/ref {row['fast_over_reference']:6.2f}x"
         )

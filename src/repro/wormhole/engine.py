@@ -35,8 +35,8 @@ from typing import Optional
 from repro.obs.bus import EventBus
 from repro.sim.core import Environment
 from repro.sim.rng import PrefetchStream, RandomStream
-from repro.wormhole.channel import Lane, PhysChannel
-from repro.wormhole.ledger import FreeRunLedger
+from repro.wormhole.channel import PhysChannel
+from repro.wormhole.ledger import FAR, FreeRunLedger
 from repro.wormhole.network import SimNetwork
 from repro.wormhole.packet import Packet, PacketState
 from repro.wormhole.sanitizer import Sanitizer, sanitize_enabled
@@ -258,17 +258,20 @@ class WormholeEngine:
         #: The ledger's live free-running worms (truthy while any
         #: stream; progress/watchdog accounting).
         self._lazy_live = self._ledger.live
-        #: Per-worm Phase B is valid only when every channel has a
-        #: single lane (TMIN/DMIN/BMIN): multi-lane wires (the VMIN's
-        #: virtual channels) couple worms through the round-robin
-        #: arbiter, so those networks keep the channel sweep.  Networks
-        #: whose routes may defy the topological channel order (the
-        #: direct topologies' adaptive routing; ``worm_phase_ok``) and
-        #: slowed wires (per-channel cooldown is channel-sweep
-        #: bookkeeping) keep it too.
-        self._worm_mode = network.worm_phase_ok and all(
-            len(ch.lanes) == 1 and ch.slowdown == 1
-            for ch in network.topo_channels
+        #: Free-run (the ledger plus span sleep) needs every route to
+        #: follow the topological channel order (``worm_phase_ok``; the
+        #: direct topologies' adaptive routing defies it) and no slowed
+        #: wire (per-channel cooldown is channel-sweep bookkeeping).
+        self._free_run = network.worm_phase_ok and all(
+            ch.slowdown == 1 for ch in network.topo_channels
+        )
+        #: Per-worm Phase B additionally needs single-lane wires
+        #: (TMIN/DMIN/BMIN).  The VMIN's virtual channels couple the
+        #: worms sharing a wire through the round-robin arbiter, so it
+        #: keeps the channel sweep, where only worms whose every held
+        #: wire is solo free-run (see :meth:`_enter_solo`).
+        self._worm_mode = self._free_run and all(
+            len(ch.lanes) == 1 for ch in network.topo_channels
         )
         #: node -> injection channel, resolved once (fast path).
         self._inj = [
@@ -786,8 +789,13 @@ class WormholeEngine:
                 # waiter registrations (lazily, via the token).
                 p._blk_usable = None
                 p._blk_token += 1
-            lane.acquire(p)
             ch = lane.channel
+            if ch.owned_count and not ch.in_active:
+                # The wire's other lane belongs to a free-running worm
+                # (channel sweep only): sharing the wire ends its
+                # one-flit-per-cycle schedule, so it walks again.
+                self._couple(ch)
+            lane.acquire(p)
             if not ch.in_active:
                 ch.in_active = True
                 insort(active, ch, key=_TOPO_ORDER)
@@ -809,42 +817,78 @@ class WormholeEngine:
 
         On all-single-lane networks with no hot bus sink the per-worm
         sweep (:meth:`_phase_advance_worms`) visits only worms that
-        can still move; otherwise (VMIN's shared wires, or a tracer
+        can still move; otherwise (VMIN's multi-lane wires, or a tracer
         demanding the exact per-channel event order) the channel sweep
-        runs.  Both orderings move the same flits and emit the same
-        observable state, so flipping between them mid-run -- a tracer
-        attaching, say -- is safe.
+        runs.  Both sweeps hand worms to the free-run ledger unless a
+        hot sink needs real per-flit state, in which case every
+        free-running worm is materialized first.  Both orderings move
+        the same flits and emit the same observable state, so flipping
+        between them mid-run -- a tracer attaching, say -- is safe.
         """
-        if self._worm_mode and not self.bus.hot:
-            self._phase_advance_worms()
-        else:
-            if self._lazy_live:
-                self._materialize_lazy()
-            self._phase_advance_channels()
+        if not self.bus.hot:
+            if self._worm_mode:
+                self._phase_advance_worms()
+                return
+        elif self._lazy_live:
+            self._materialize_lazy()
+        self._phase_advance_channels()
 
     def _phase_advance_channels(self) -> None:
         """Phase B over the active channel list only.
 
         ``_active`` holds every channel with an owned lane, in
         reverse-topological order (Phase A inserts on acquire; this
-        sweep compacts out channels whose last lane released).  During
-        the sweep only the *current* channel can change ownership (a
-        tail release), so membership of later entries is stable and the
-        visit order matches the reference's full ``topo_channels`` scan
-        restricted to busy channels -- the same flits move.
+        sweep compacts out channels whose last lane released), except
+        the wires of free-running worms.  During the sweep only the
+        *current* channel can change ownership (a tail release), so
+        membership of later entries is stable and the visit order
+        matches the reference's full ``topo_channels`` scan restricted
+        to busy channels -- the same flits move.
 
-        Single-lane channels (every channel except the VMIN's
-        virtual-channel wires) take an inlined copy of
+        Single-lane channels take an inlined copy of
         ``PhysChannel._lane_ready`` + ``_move``; multi-lane channels
-        keep the round-robin ``transmit()``.
+        (the VMIN's virtual-channel wires) an inlined copy of
+        ``PhysChannel.transmit``'s ready-lane round robin.  Due
+        free-run actions merge into the sweep by channel topo key, as
+        in :meth:`_phase_advance_worms`; they only touch wires that are
+        off ``_active``, so no key ties with a visited channel.
         """
         pending = self._pending_route
         bus = self.bus
         obs = bus if bus.hot else None
         now = self.env.now
         active = self._active
+        acts = None
+        if self._lazy_live:
+            # A live free-running worm delivers a flit every cycle.
+            self._progressed = True
+            acts = self._ledger.pop_due(self.cycles_run)
+        if acts is not None:
+            if len(acts) > 1:
+                acts.sort(key=_ACT_KEY)
+            na = len(acts)
+            nxt = acts[0][0]
+        else:
+            na = 0
+            nxt = FAR
+        ai = 0
+        # Worms that delivered a flit over a solo wire this cycle:
+        # the free-run candidates.
+        cands = (
+            []
+            if self._free_run and obs is None and self.sanitizer is None
+            else None
+        )
         write = 0
         for ch in active:
+            if nxt < ch.topo_order:
+                # Replay the free-run actions the reference sweep
+                # performs before this channel.
+                key = ch.topo_order
+                while ai < na and acts[ai][0] < key:
+                    self._exec_lazy(acts[ai])
+                    ai += 1
+                nxt = acts[ai][0] if ai < na else FAR
             if ch.owned_count == 0:
                 ch.in_active = False
                 continue
@@ -865,21 +909,41 @@ class WormholeEngine:
                     or (lane.buf != 0 and not dlv)
                 ):
                     continue  # not ready this cycle
-                if ridx > 0:
-                    p.lanes[ridx - 1].buf -= 1
-                lane.sent += 1
-                if dlv:
-                    p.delivered_flits += 1
-                else:
-                    lane.buf += 1
-                if ch.slowdown > 1:
-                    ch.cooldown = ch.slowdown - 1
             else:
-                lane = ch.transmit()
-                if lane is None:
+                if ch.cooldown:
+                    ch.cooldown -= 1
                     continue
-                p = lane.owner
-                assert p is not None
+                # Serve the first ready lane from ``rr_next`` on.
+                n = len(lanes)
+                i = ch.rr_next
+                for _ in lanes:
+                    lane = lanes[i]
+                    i += 1
+                    if i == n:
+                        i = 0
+                    p = lane.owner
+                    if p is None:
+                        continue
+                    ridx = lane.route_idx
+                    if (
+                        lane.sent >= p.length
+                        or (ridx > 0 and p.lanes[ridx - 1].buf == 0)
+                        or (lane.buf != 0 and not dlv)
+                    ):
+                        continue
+                    break
+                else:
+                    continue  # no ready lane this cycle
+                ch.rr_next = i
+            if ridx > 0:
+                p.lanes[ridx - 1].buf -= 1
+            lane.sent += 1
+            if dlv:
+                p.delivered_flits += 1
+            else:
+                lane.buf += 1
+            if ch.slowdown > 1:
+                ch.cooldown = ch.slowdown - 1
             self._progressed = True
             if obs is not None:
                 obs.publish_transmit(now, ch, lane)
@@ -890,6 +954,8 @@ class WormholeEngine:
                     if obs is not None:
                         obs.publish_release(now, p, ch, lane.index)
                     self._finalize(p)
+                elif cands is not None and ch.owned_count == 1:
+                    cands.append(p)
             else:
                 if lane.sent == 1 and lane.route_idx == len(p.lanes) - 1:
                     # Header just reached the next switch input buffer.
@@ -900,7 +966,12 @@ class WormholeEngine:
                     self._lane_freed(ch)
                     if obs is not None:
                         obs.publish_release(now, p, ch, lane.index)
+        while ai < na:  # actions past the last active channel
+            self._exec_lazy(acts[ai])
+            ai += 1
         del active[write:]
+        if cands:
+            self._enter_solo(cands)
         # The worm list is not consumed on this branch (the channel
         # sweep ignores it) but must stay consistent for a later switch
         # to the per-worm sweep: compact out finished packets when the
@@ -1088,10 +1159,13 @@ class WormholeEngine:
         within every cycle, so the frozen value (1) *is* the reference
         end-of-cycle state.
 
-        Disabled under the runtime sanitizer, whose per-cycle sweeps
-        read the per-lane counters this mode leaves stale; an abort or
-        a switch to the channel sweep restores real state first via
-        :meth:`_materialize_worm`.
+        Both Phase B sweeps call this: the per-worm walk for any worm
+        it moved, the channel sweep (through :meth:`_enter_solo`) for a
+        worm whose every held wire is solo.  Disabled under the runtime
+        sanitizer, whose per-cycle sweeps read the per-lane counters
+        this mode leaves stale; an abort, a lane grant that shares one
+        of the worm's wires, or a hot bus sink restores real state
+        first via :meth:`_materialize_worm`.
         """
         lanes = p.lanes
         n1 = len(lanes) - 1
@@ -1111,6 +1185,55 @@ class WormholeEngine:
         p._lz_sent0 = head.sent
         p._moving = False
         return True
+
+    def _enter_solo(self, cands: list) -> None:
+        """Channel sweep: free-run the delivering worms on solo wires.
+
+        A worm whose every held wire has no other owned lane moves
+        exactly as on single-lane wires: its lane wins each wire's
+        round robin whenever ready.  ``rr_next`` needs no bookkeeping
+        either, because a compressed pipeline moves every owned lane in
+        every cycle, which sets each wire's pointer to the same value
+        the frozen one already holds.  Entering worms' wires leave
+        ``_active`` (the ledger drives them now); a grant that shares
+        one of them brings the worm back via :meth:`_couple`.
+        """
+        dropped = False
+        for p in cands:
+            # The head's delivery wire is solo; walk the owned lanes
+            # upstream of it (a suffix of ``p.lanes``) for a shared wire
+            # or a buffer gap, the cheap rejections.
+            lanes = p.lanes
+            i = len(lanes) - 2
+            while i >= 0:
+                lane = lanes[i]
+                if lane.owner is not p:
+                    break
+                if lane.buf != 1 or lane.channel.owned_count != 1:
+                    break
+                i -= 1
+            if (i >= 0 and lanes[i].owner is p) or not self._enter_lazy(p):
+                continue
+            for lane in lanes[i + 1:]:
+                lane.channel.in_active = False
+            dropped = True
+        if dropped:
+            self._active[:] = [ch for ch in self._active if ch.in_active]
+
+    def _couple(self, ch: PhysChannel) -> None:
+        """A grant is about to share ``ch`` with its free-running owner.
+
+        The owner's lane on ``ch`` will now lose round-robin turns, so
+        its ledger schedule no longer holds: materialize it (which puts
+        its wires back on ``_active``) and return it to the worm list.
+        """
+        for lane in ch.lanes:
+            p = lane.owner
+            if p is not None:
+                self._materialize_worm(p)
+                p._moving = True
+                self._moving.append(p)
+                return
 
     def _exec_lazy(self, act) -> bool:
         """Replay one scheduled free-run action (see :meth:`_enter_lazy`).
@@ -1152,7 +1275,8 @@ class WormholeEngine:
         throughout streaming, and executed drains already ran at their
         reference cycle).  Pending actions die via the token bump;
         cancelled drains are subsumed by the restored lanes' own
-        subsequent moves.
+        subsequent moves.  Wires the channel sweep took off ``_active``
+        at entry (see :meth:`_enter_solo`) go back on it.
         """
         moves = self.cycles_run - p._lz_base - 1
         if moves < 0:
@@ -1165,6 +1289,10 @@ class WormholeEngine:
             if lane.owner is not p:
                 break
             lane.sent = head_sent + (n1 - i)
+            ch = lane.channel
+            if not ch.in_active:
+                ch.in_active = True
+                insort(self._active, ch, key=_TOPO_ORDER)
         p.delivered_flits = head_sent
         p._lz_token += 1
         p._lz_base = -1
@@ -1215,12 +1343,6 @@ class WormholeEngine:
                 p._blk_usable = None
                 if p._blk_epoch == self._fault_epoch.value:
                     self._blk_valid -= 1
-
-    def transmit(self, ch: PhysChannel) -> Optional[Lane]:
-        """Move one flit across ``ch`` if possible (split out for tests)."""
-        if not ch.busy:
-            return None
-        return ch.transmit()
 
     def abort_packet(self, p: Packet) -> None:
         """Externally kill a packet (hard faults, recovery timeouts).
@@ -1408,25 +1530,32 @@ class WormholeEngine:
 
         A cycle is a provable no-op -- no RNG draw, no state change, no
         bus event -- exactly when nothing can inject (``_inj_ready``
-        empty), nothing is moving scalar (``_moving`` empty), every
-        pending header is provably still blocked (cache-hit exits; a
-        lone header consumes no shuffle draw, larger queues do, so
-        spans require <= 1 pending), no free-run action is due (the
-        ledger's next-due horizon), and no per-cycle observer runs
-        (sanitizer / watchdogs / hot bus).  The span is additionally
-        clamped to the next scheduled environment event: arrivals,
-        fault flips, and run() stop events all bound it, so nothing can
-        observe or perturb the engine mid-span.
+        empty), nothing moves outside the ledger (``_moving`` empty in
+        the per-worm walk, no owned channel on ``_active`` in the
+        channel sweep), every pending header is provably still blocked
+        (cache-hit exits; their shuffle draws become debt, see below),
+        no free-run action is due (the ledger's next-due horizon), and
+        no per-cycle observer runs (sanitizer / watchdogs / hot bus).
+        The span is additionally clamped to the next scheduled
+        environment event: arrivals, fault flips, and run() stop events
+        all bound it, so nothing can observe or perturb the engine
+        mid-span.
         """
         if (
-            self._moving
-            or self._inj_ready
+            self._inj_ready
             or self.bus.hot
-            or not self._worm_mode
+            or not self._free_run
             or self.sanitizer is not None
             or self.watchdog is not None
         ):
             return 1
+        if self._worm_mode:
+            if self._moving:
+                return 1
+        else:
+            for ch in self._active:
+                if ch.owned_count:
+                    return 1
         pending = self._pending_route
         if pending and self._blk_valid != len(pending):
             # Some pending header is not provably blocked at the

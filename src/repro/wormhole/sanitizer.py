@@ -100,7 +100,9 @@ class Sanitizer:
         """Fast-path invariants: active list and blocked-header caches.
 
         * every channel with an owned lane is on the active list (a
-          miss would silently freeze a worm);
+          miss would silently freeze a worm).  This holds only because
+          the engine never free-runs a worm under the sanitizer: the
+          channel sweep takes a free-running worm's wires off the list;
         * the list is sorted by ``topo_order`` with no duplicates (the
           advance order must match the reference scan's);
         * a header with a cached blocked decision at the current fault

@@ -96,6 +96,7 @@ def run_case(
     faults: bool = False,
     sanitize: bool = False,
     sink=None,
+    sink_at: float | None = None,
     overload: str | None = None,
     governed: bool = False,
     watchdog: bool = False,
@@ -111,6 +112,11 @@ def run_case(
     stream, simulator-kernel counters, and (with ``faults``) the
     injector's tallies.  Two snapshots compare equal iff the runs were
     bit-identical.
+
+    ``sink`` attaches a bus sink before the run, or -- with
+    ``sink_at`` -- mid-run, at that simulated time; the sink's
+    ``free_running_at_attach`` then records how many worms the engine
+    was free-running at that instant (always 0 on the reference tier).
 
     ``overload`` installs a deliberately tight
     :class:`~repro.stability.BoundedQueue` in the named admission mode
@@ -148,7 +154,10 @@ def run_case(
     try:
         env, eng, root = build_point(network, load, run_cfg, engine)
         if sink is not None:
-            eng.bus.attach(sink)
+            if sink_at is None:
+                eng.bus.attach(sink)
+            else:
+                env.process(_attach_at(env, eng, sink, sink_at))
         injector = None
         if faults:
             injector = fault_plan(eng).install(env, eng.network, eng)
@@ -254,6 +263,13 @@ def run_case(
             tuple(sorted(reliability.outcomes.items())),
         ),
     )
+
+
+def _attach_at(env, eng, sink, at: float):
+    """Process: attach ``sink`` to the engine's bus at time ``at``."""
+    yield env.timeout(at)
+    sink.free_running_at_attach = len(eng._lazy_live)
+    eng.bus.attach(sink)
 
 
 def _stall_tuple(e) -> tuple:

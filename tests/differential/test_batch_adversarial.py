@@ -49,14 +49,15 @@ def test_fault_mid_burst(kind):
     assert_identical(kind, "uniform", 0.9, faults=True, run_cfg=CFG_LONG)
 
 
-@pytest.mark.parametrize("kind", ("dmin", "bmin"))
+@pytest.mark.parametrize("kind", ("dmin", "bmin", "vmin"))
 @pytest.mark.parametrize("load", (0.2, 0.4))
 def test_abort_during_free_run(kind, load):
     """The t=600 hard fault cuts a wire under a quiet network: on the
     fast tier the victims are *free-running* (ledger rows mid-span),
     so the abort must materialize them, unwind lane
     ownership, and settle any deferred shuffle debt before the queue's
-    membership changes."""
+    membership changes.  On the VMIN the victims' wires are off the
+    channel sweep's active list and must rejoin it."""
     assert_identical(kind, "uniform", load, faults=True, run_cfg=CFG_LONG)
 
 

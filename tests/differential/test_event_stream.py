@@ -11,9 +11,13 @@ without the kernel event counters (see :mod:`tests.differential.harness`).
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 import pytest
 
+from repro.traffic.workload import MessageSizeModel
 from tests.differential.harness import (
+    CFG,
     NETWORK_KINDS,
     EventRecorder,
     run_case,
@@ -44,7 +48,43 @@ def test_event_stream_identity(kind: str, load: float) -> None:
     _assert_streams_match(kind, load)
 
 
-@pytest.mark.parametrize("kind", ("dmin", "bmin"))
+@pytest.mark.parametrize("kind", ("dmin", "bmin", "vmin"))
 def test_event_stream_identity_with_faults(kind: str) -> None:
     """Hot sink + fault injection: aborts and repairs in the stream."""
     _assert_streams_match(kind, 0.7, faults=True)
+
+
+#: Long fixed messages at light load: most worms free-run between
+#: grants, so a sink attaching mid-run finds ledger rows to unwind.
+CFG_STREAM = replace(
+    CFG,
+    warmup_packets=10,
+    measure_packets=60,
+    max_cycles=30_000,
+    sizes=MessageSizeModel("fixed", 256, 256),
+)
+
+
+@pytest.mark.parametrize("kind", ("dmin", "vmin"))
+def test_event_stream_identity_mid_run_attach(kind: str, monkeypatch) -> None:
+    """A hot sink attaching while worms free-run: the fast tier must
+    materialize them (on the VMIN, put their wires back on the channel
+    sweep) so the transmit log from the attach on matches the
+    reference's, with every observable bit-identical.  (The sanitizer
+    switches free-run off, so this case always runs without it.)"""
+    monkeypatch.delenv("REPRO_SANITIZE", raising=False)
+    at = 1500.0
+    rec_ref = EventRecorder()
+    snap_ref = run_case(
+        kind, "uniform", 0.2, "reference", sink=rec_ref, sink_at=at,
+        run_cfg=CFG_STREAM,
+    )
+    rec = EventRecorder()
+    snap = run_case(
+        kind, "uniform", 0.2, "fast", sink=rec, sink_at=at,
+        run_cfg=CFG_STREAM,
+    )
+    assert rec.free_running_at_attach > 0, "no worm free-ran at the attach"
+    assert strip_kernel_counters(snap) == strip_kernel_counters(snap_ref)
+    assert any(e[0] == "transmit" for e in rec.events)
+    assert rec.events == rec_ref.events

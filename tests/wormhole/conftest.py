@@ -18,3 +18,10 @@ def make_engine():
         return env, engine
 
     return _make
+
+
+@pytest.fixture
+def default_tier(monkeypatch):
+    """Run with the default tier and no sanitizer, whatever the caller set."""
+    monkeypatch.delenv("REPRO_ENGINE", raising=False)
+    monkeypatch.delenv("REPRO_SANITIZE", raising=False)

@@ -14,8 +14,6 @@ import sys
 from dataclasses import replace
 from pathlib import Path
 
-import pytest
-
 from repro.experiments.config import PRESETS, NetworkConfig
 from repro.experiments.runner import build_point, install_workload, measure, warm_up
 from repro.experiments.workload_spec import WorkloadSpec
@@ -27,10 +25,10 @@ SRC = Path(__file__).resolve().parents[2] / "src"
 CYCLES = 20_000
 
 
-def streaming_point(engine=None, load=0.1):
-    """A DMIN point with 1024-flit worms at light load (clock not started)."""
+def streaming_point(engine=None, load=0.1, kind="dmin"):
+    """A point with 1024-flit worms at light load (clock not started)."""
     cfg = replace(PRESETS["smoke"], sizes=MessageSizeModel("fixed", 1024, 1024))
-    network = NetworkConfig("dmin")
+    network = NetworkConfig(kind)
     env, eng, root = build_point(network, load, cfg, engine)
     workload = WorkloadSpec(pattern="uniform").builder(cfg)(load)
     workload.install(env, eng, root.fork(f"workload/{network.label}/{load}"))
@@ -66,13 +64,6 @@ def _count_ticks(eng) -> list:
 
     eng.step_cycle = counted
     return calls
-
-
-@pytest.fixture
-def default_tier(monkeypatch):
-    """Run with the default tier and no sanitizer, whatever the caller set."""
-    monkeypatch.delenv("REPRO_ENGINE", raising=False)
-    monkeypatch.delenv("REPRO_SANITIZE", raising=False)
 
 
 def test_default_tier_sleeps_through_streaming(default_tier):
