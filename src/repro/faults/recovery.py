@@ -134,9 +134,7 @@ class SourceRetry:
         # fresh message on its first attempt.
         self._attempts.setdefault(p.pid, (p.pid, 1))
         if self.policy.attempt_timeout is not None:
-            self.env.process(
-                self._watchdog(p), name=f"retry-timeout-{p.pid}"
-            )
+            self.env.call_later(self.policy.attempt_timeout, self._watchdog, p)
 
     def on_deliver(self, t: float, p: Packet) -> None:
         root, attempts = self._attempts.pop(p.pid, (p.pid, 1))
@@ -162,27 +160,27 @@ class SourceRetry:
             self.outcomes[p.pid] = "shed"
 
     def _on_fail(self, p: Packet) -> None:
-        root, attempts = self._attempts.pop(p.pid, (p.pid, 1))
+        self._retry_or_drop(p, *self._attempts.pop(p.pid, (p.pid, 1)))
+
+    # -- timed callbacks ---------------------------------------------------
+
+    def _retry_or_drop(self, p: Packet, root: int, attempts: int) -> None:
         if attempts >= self.policy.max_attempts:
             self.dropped += 1
             self.engine.stats.dropped_packets += 1
             self.outcomes[root] = "dropped"
             return
         self.pending_retries += 1
-        self.env.process(
-            self._reinject(p, root, attempts), name=f"retry-{root}"
+        self.env.call_later(
+            self.policy.delay(attempts, self.rng), self._reinject, p, root, attempts
         )
 
-    # -- sim processes -----------------------------------------------------
-
-    def _watchdog(self, p: Packet):
-        yield self.env.timeout(self.policy.attempt_timeout)
+    def _watchdog(self, p: Packet) -> None:
         if p.state in (PacketState.QUEUED, PacketState.ACTIVE):
             # Abort triggers _on_fail, which schedules the retry.
             self.engine.abort_packet(p)
 
-    def _reinject(self, p: Packet, root: int, attempts: int):
-        yield self.env.timeout(self.policy.delay(attempts, self.rng))
+    def _reinject(self, p: Packet, root: int, attempts: int) -> None:
         self.pending_retries -= 1
         self.retried += 1
         self.engine.stats.retried_packets += 1
@@ -193,17 +191,8 @@ class SourceRetry:
             self._reoffering = False
         if clone is None or clone.state is PacketState.SHED:
             # Bounded admission refused the re-injection (blocking
-            # policy) or shed it at the door.  The attempt is spent;
-            # either back off again or give the message up.
-            if attempts + 1 >= self.policy.max_attempts:
-                self.dropped += 1
-                self.engine.stats.dropped_packets += 1
-                self.outcomes[root] = "dropped"
-                return
-            self.pending_retries += 1
-            self.env.process(
-                self._reinject(p, root, attempts + 1), name=f"retry-{root}"
-            )
+            # policy) or shed it at the door.  The attempt is spent.
+            self._retry_or_drop(p, root, attempts + 1)
             return
         # _on_offer already registered attempt 1; overwrite with truth.
         self._attempts[clone.pid] = (root, attempts + 1)
@@ -220,21 +209,10 @@ class SourceRetry:
     def quiesce(self, max_cycles: int = 1_000_000) -> None:
         """Drain the network *and* the retry pipeline.
 
-        Unlike :meth:`WormholeEngine.drain` this keeps running while
-        backoff timers hold packets outside the network.
+        Unlike a bare :meth:`WormholeEngine.drain` this keeps running
+        while backoff timers hold packets outside the network.
         """
-        deadline = self.env.now + max_cycles
-        self.engine.start()
-        while (
-            not self.engine.idle or self.pending_retries
-        ) and self.env.now < deadline:
-            self.env.run(until=min(self.env.now + 256, deadline))
-        if not self.engine.idle or self.pending_retries:
-            raise RuntimeError(
-                f"retry pipeline failed to quiesce within {max_cycles} "
-                f"cycles ({self.engine.in_flight} in flight, "
-                f"{self.pending_retries} retries pending)"
-            )
+        self.engine.drain(max_cycles, held=lambda: self.pending_retries)
 
     def __repr__(self) -> str:
         return (

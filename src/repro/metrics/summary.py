@@ -63,12 +63,16 @@ class LatencySummary:
             _, ci = batch_means(values, batches=batches)
         else:
             ci = _NAN
+        # percentile()'s interpolation is not monotone in q under
+        # rounding; capping each by the next one up keeps them ordered.
+        p99 = percentile(ordered, 99)
+        p95 = min(percentile(ordered, 95), p99)
         return cls(
             count=len(ordered),
             mean=mean(ordered),
-            p50=percentile(ordered, 50),
-            p95=percentile(ordered, 95),
-            p99=percentile(ordered, 99),
+            p50=min(percentile(ordered, 50), p95),
+            p95=p95,
+            p99=p99,
             max=ordered[-1],
             ci_half=ci,
         )

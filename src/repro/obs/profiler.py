@@ -3,8 +3,8 @@
 The :class:`repro.sim.core.Environment` maintains three always-on
 counters (plain integer increments, no branches):
 
-* ``events_scheduled`` -- total ``heappush`` calls;
-* ``events_fired`` -- total events popped and dispatched;
+* ``events_scheduled`` -- total schedule entries pushed;
+* ``events_fired`` -- total entries popped and dispatched;
 * ``max_heap_depth`` -- high-water mark of the pending-event heap.
 
 :class:`KernelProfiler` snapshots those counters plus the wall clock
@@ -33,7 +33,12 @@ CYCLE_MICROSECONDS = 0.05
 
 
 class KernelProfiler:
-    """Deltas of the kernel counters + wall clock over a window."""
+    """Deltas of the kernel counters + wall clock over a window.
+
+    ``events_scheduled``/``events_fired`` count schedule entries: a
+    process pays one to start, one per timeout it waits on and one to
+    finish; a timed callback (``Environment.call_later``) pays one.
+    """
 
     def __init__(self) -> None:
         self.engine: Optional["WormholeEngine"] = None

@@ -4,7 +4,8 @@ A small, self-contained process-based DES kernel in the style of SimPy,
 written from scratch because this reproduction may not rely on external
 simulation packages.  It provides only what the simulator uses:
 
-* :class:`~repro.sim.core.Environment` -- the event loop / scheduler.
+* :class:`~repro.sim.core.Environment` -- the event loop / scheduler,
+  with :meth:`~repro.sim.core.Environment.call_later` for one-shot timers.
 * :class:`~repro.sim.events.Event`, :class:`~repro.sim.events.Timeout`,
   :class:`~repro.sim.events.Process` -- the event primitives.  Processes
   are Python generators that ``yield`` events to wait on them.
@@ -17,8 +18,9 @@ simulation packages.  It provides only what the simulator uses:
   workload generators.
 
 The wormhole network engine (:mod:`repro.wormhole`) uses this kernel for
-its master clock and for packet-arrival processes; the kernel is equally
-usable standalone (see ``examples/`` and the unit tests).
+its master clock and packet-arrival processes, the transport and retry
+layers for their timers; the kernel is equally usable standalone (see
+``examples/`` and the unit tests).
 """
 
 from repro.sim.core import Environment, EmptySchedule, StopSimulation

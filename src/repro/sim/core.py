@@ -28,11 +28,12 @@ cost of scheduling.  ``tests/differential`` asserts this exhaustively.
 
 from __future__ import annotations
 
+from collections import deque
 from heapq import heappop, heappush
 from itertools import count
-from typing import Any, Generator, Optional, Union
+from typing import Any, Callable, Generator, Optional, Union
 
-from repro.sim.events import PRIORITY_NORMAL, Event, Process, ProcessCrash, Timeout
+from repro.sim.events import PRIORITY_NORMAL, PRIORITY_URGENT, Event, Process, ProcessCrash, Timeout
 
 
 class EmptySchedule(Exception):
@@ -93,12 +94,14 @@ class Environment:
         )
         self._ring_base = int(initial_time)
         self._ring_count = 0
+        #: Armed timed callbacks awaiting their entry: (eid, time, event).
+        self._armed: deque[tuple[int, float, Event]] = deque()
         self._eid = count()
         # Always-on kernel counters (plain increments; read by
         # :class:`repro.obs.profiler.KernelProfiler`).
-        #: Total events pushed onto the schedule.
+        #: Total entries pushed onto the schedule (events, timed callbacks).
         self.events_scheduled = 0
-        #: Total events popped and dispatched by :meth:`step`.
+        #: Total entries popped and dispatched by :meth:`step`.
         self.events_fired = 0
         #: High-water mark of the pending-event count (ring + heap).
         self.max_heap_depth = 0
@@ -120,12 +123,12 @@ class Environment:
                 base += 1
             self._ring_base = base  # skipped slots were empty; safe
             if base < heap_t:
-                return float(base)
-        return heap_t
+                heap_t = float(base)
+        return self._now if self._armed else heap_t
 
     def __len__(self) -> int:
         """Number of scheduled (not yet processed) events."""
-        return self._ring_count + len(self._queue)
+        return self._ring_count + len(self._queue) + len(self._armed)
 
     def advance_to(self, when: float) -> None:
         """Advance the clock to ``when`` without dispatching an event.
@@ -178,6 +181,36 @@ class Environment:
         if depth > self.max_heap_depth:
             self.max_heap_depth = depth
 
+    def call_later(self, delay: float, fn: Callable[..., Any], *args: Any) -> None:
+        """Call ``fn(*args)`` ``delay`` time units from now (one entry).
+
+        Replaces a process ``yield timeout(delay); fn(*args)`` without
+        moving an equal-time tie: that timeout took its eid only when
+        the process's URGENT ``Initialize`` popped, so the call holds a
+        virtual ``(now, URGENT, eid)`` slot and :meth:`step` schedules
+        the real entry when that slot's turn comes.  An exception from
+        ``fn`` propagates out of :meth:`step` unwrapped.
+        """
+        if delay < 0:
+            raise ValueError(f"negative delay {delay}")
+        call = Event(self)
+        call._ok = True
+        call.callbacks.append(lambda _: fn(*args))
+        self._armed.append((next(self._eid), self._now + delay, call))
+
+    def _arm_due(self) -> None:
+        # Only an entry at now that orders before a virtual (now, URGENT,
+        # eid) slot holds it back; the NORMAL entries added here never do.
+        heads = [self._queue[0][:3]] if self._queue else [(Infinity,)]
+        if self._ring_count:
+            self.peek()  # moves _ring_base onto the first live slot
+            base = self._ring_base
+            heads.append((base, *self._ring[base & _RING_MASK][0][:2]))
+        gate = min(heads)
+        while self._armed and (self._now, PRIORITY_URGENT, self._armed[0][0]) < gate:
+            _, when, call = self._armed.popleft()
+            self._schedule_at(when, PRIORITY_NORMAL, call)
+
     # -- event factories ----------------------------------------------------
 
     def event(self) -> Event:
@@ -222,6 +255,8 @@ class Environment:
         Raises :class:`EmptySchedule` if no events are left, and
         :class:`ProcessCrash` if the event failed with nobody handling it.
         """
+        if self._armed:
+            self._arm_due()
         if self._ring_count:
             ring = self._ring
             base = self._ring_base
@@ -327,6 +362,7 @@ class Environment:
                     slot.clear()
         self._ring_base = int(self._initial_time)
         self._ring_count = 0
+        self._armed.clear()
         self._eid = count()
         self.events_scheduled = 0
         self.events_fired = 0

@@ -28,15 +28,16 @@ Like :class:`repro.faults.recovery.SourceRetry`, the transport is a
 cold-kind bus subscriber (``deliver``/``abort``/``shed`` only), so the
 per-flit hot path pays nothing (``bus.hot`` stays False).  Bus
 callbacks fire inside the engine's cycle step, so they only do
-bookkeeping and spawn simulation processes whose first statement is a
-``timeout`` -- every ``engine.offer`` happens between cycles.
+bookkeeping and arm timed callbacks
+(:meth:`~repro.sim.core.Environment.call_later`) -- every
+``engine.offer`` happens between cycles.
 """
 
 from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from typing import Any, Generator, Iterator, Optional
+from typing import Optional
 
 from repro.sim.rng import RandomStream
 from repro.wormhole.engine import WormholeEngine
@@ -215,12 +216,9 @@ class ReliableTransport:
             return
         seg.live_pid = packet.pid
         self._data_pids[packet.pid] = (flow.key, seg.seq, seg.length)
-        self.env.process(
-            self._rto_timer(flow, seg, seg.timer_token),
-            name=f"rto-{src}-{dst}-{seg.seq}",
-        )
+        self.env.call_later(seg.rto, self._rto_timer, flow, seg, seg.timer_token)
 
-    # -- bus callbacks (bookkeeping + process spawning only) ---------------
+    # -- bus callbacks (bookkeeping + timer arming only) -------------------
 
     def on_deliver(self, t: float, p: Packet) -> None:
         data = self._data_pids.pop(p.pid, None)
@@ -267,10 +265,7 @@ class ReliableTransport:
         delay = self._jittered(seg.rto)
         seg.rto = min(seg.rto * self.config.rto_factor, self.config.rto_max)
         self.pending += 1
-        self.env.process(
-            self._retransmit(flow, seg, seg.timer_token, delay),
-            name=f"retx-{flow.key[0]}-{flow.key[1]}-{seg.seq}",
-        )
+        self.env.call_later(delay, self._retransmit, flow, seg, seg.timer_token)
 
     def _jittered(self, base: float) -> float:
         """One RNG draw per retransmit-scheduling decision."""
@@ -278,19 +273,13 @@ class ReliableTransport:
             base *= 1.0 + self.config.jitter * (2.0 * self.rng.random() - 1.0)
         return max(base, 1.0)
 
-    def _retransmit(
-        self, flow: _Flow, seg: _Segment, token: int, delay: float
-    ) -> Generator[Any, Any, None]:
-        yield self.env.timeout(delay)
+    def _retransmit(self, flow: _Flow, seg: _Segment, token: int) -> None:
         self.pending -= 1
         if flow.inflight.get(seg.seq) is not seg or seg.timer_token != token:
             return
         self._inject(flow, seg)
 
-    def _rto_timer(
-        self, flow: _Flow, seg: _Segment, token: int
-    ) -> Generator[Any, Any, None]:
-        yield self.env.timeout(seg.rto)
+    def _rto_timer(self, flow: _Flow, seg: _Segment, token: int) -> None:
         if flow.inflight.get(seg.seq) is not seg or seg.timer_token != token:
             return
         # No ack and no loss signal within the timeout: assume loss
@@ -340,12 +329,9 @@ class ReliableTransport:
             self.messages_delivered += 1
             self.outcomes[(src, dst, seq)] = "delivered"
         self.pending += 1
-        self.env.process(
-            self._send_ack(flow, seq), name=f"ack-{key[0]}-{key[1]}-{seq}"
-        )
+        self.env.call_later(self.config.ack_delay, self._send_ack, flow, seq)
 
-    def _send_ack(self, flow: _Flow, sack: int) -> Generator[Any, Any, None]:
-        yield self.env.timeout(self.config.ack_delay)
+    def _send_ack(self, flow: _Flow, sack: int) -> None:
         self.pending -= 1
         # Snapshot the receive state at send time (delayed acks carry
         # the freshest cumulative point).
@@ -378,20 +364,14 @@ class ReliableTransport:
         if flow.buffer and not flow.pump_pending:
             flow.pump_pending = True
             self.pending += 1
-            self.env.process(
-                self._deferred_pump(flow), name=f"pump-{key[0]}-{key[1]}"
-            )
+            self.env.call_later(1.0, self._deferred_pump, flow)
 
-    def _deferred_pump(self, flow: _Flow) -> Generator[Any, Any, None]:
-        yield self.env.timeout(1.0)
+    def _deferred_pump(self, flow: _Flow) -> None:
         self.pending -= 1
         flow.pump_pending = False
         self._pump(flow)
 
     # -- reporting / draining ----------------------------------------------
-
-    def flows(self) -> Iterator[FlowKey]:
-        return iter(self._flows)
 
     def delivered_ratio(self) -> float:
         """Fraction of settled messages that ended delivered."""
@@ -414,19 +394,9 @@ class ReliableTransport:
         fails to settle -- the "never a hang" guarantee is enforced,
         not assumed.
         """
-        deadline = self.env.now + max_cycles
-        self.engine.start()
-        while (not self.engine.idle or not self.idle) and self.env.now < deadline:
-            self.env.run(until=min(self.env.now + 256, deadline))
-        if not self.engine.idle or not self.idle:
-            backlog = sum(
-                len(f.buffer) + len(f.inflight) for f in self._flows.values()
-            )
-            raise RuntimeError(
-                f"transport failed to quiesce within {max_cycles} cycles "
-                f"({self.engine.in_flight} in flight, {backlog} unacked, "
-                f"{self.pending} deferred)"
-            )
+        self.engine.drain(max_cycles, held=lambda: self.pending + sum(
+            len(f.buffer) + len(f.inflight) for f in self._flows.values()
+        ))
 
     def __repr__(self) -> str:
         return (

@@ -495,6 +495,10 @@ class _CallResolver:
         return True
 
     def _resolve_call(self, call: ast.Call) -> None:
+        # A bound method passed on (``call_later(d, self.m)``) runs later.
+        for arg in call.args:
+            if _is_self_attr(arg) and self.fn.class_name:
+                self._add_project(self.graph.class_method(self.fn.class_name, arg.attr))
         fn = call.func
         if isinstance(fn, ast.Name):
             self._resolve_name_call(call, fn.id)

@@ -30,7 +30,7 @@ from bisect import insort
 from collections import deque
 from dataclasses import dataclass, field
 from operator import attrgetter, itemgetter
-from typing import Optional
+from typing import Callable, Optional
 
 from repro.obs.bus import EventBus
 from repro.sim.core import Environment
@@ -1608,17 +1608,18 @@ class WormholeEngine:
         self.start()
         self.env.run(until=self.env.now + cycles)
 
-    def drain(self, max_cycles: int = 1_000_000) -> None:
-        """Run until the network is empty (or the cycle budget runs out)."""
+    def drain(self, max_cycles: int = 1_000_000, held: Callable[[], int] = lambda: 0) -> None:
+        """Run until the network is empty and ``held()`` -- the work a layer
+        above keeps outside it -- is 0 (or the cycle budget runs out)."""
         self.start()
         deadline = self.env.now + max_cycles
-        while not self.idle and self.env.now < deadline:
+        while (not self.idle or held()) and self.env.now < deadline:
             self.env.run(until=min(self.env.now + 256, deadline))
-        if not self.idle:
+        if not self.idle or held():
             raise RuntimeError(
                 f"network failed to drain within {max_cycles} cycles "
-                f"({self._active_packets} packets in flight) -- "
-                "this would indicate deadlock or livelock"
+                f"({self._active_packets} packets in flight, {held()} held "
+                "outside) -- this would indicate deadlock or livelock"
             )
 
     # -- throughput helpers ------------------------------------------------------------

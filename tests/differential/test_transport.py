@@ -8,8 +8,8 @@ Every one of those mechanisms claims path-independence:
 
 * the transport consumes only its own forked RNG stream (one draw per
   retransmit scheduling), so engine and workload draws are untouched;
-* all bus callbacks do bookkeeping and spawn processes whose first
-  statement is a timeout yield, so no nested ``offer`` can reorder
+* all bus callbacks do bookkeeping and arm timed callbacks
+  (``Environment.call_later``), so no nested ``offer`` can reorder
   engine work within a cycle;
 * timer staleness is token-based, not time-compared, so the calendar
   and heap schedulers' different event orders at equal timestamps

@@ -25,7 +25,7 @@ import pytest
 
 hypothesis = pytest.importorskip("hypothesis")
 
-from hypothesis import given, settings  # noqa: E402
+from hypothesis import example, given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
 from repro.metrics.summary import LatencySummary  # noqa: E402
@@ -157,6 +157,7 @@ def test_bucket_index_bounds_its_value(value, b) -> None:
 
 
 @given(latencies)
+@example([0.0] * 6 + [1e7, 9999999.999999998])  # interpolated p95 > p99
 @settings(max_examples=60, deadline=None)
 def test_summary_order_statistics_are_ordered(values) -> None:
     s = LatencySummary.from_values(values)

@@ -108,6 +108,22 @@ def test_effect_propagates_through_calls():
     )
 
 
+def test_bound_method_handed_to_a_call_is_an_edge():
+    """A timed callback (``env.call_later(d, self.fire)``) runs later:
+    the method it names is in the closure of the arming function."""
+    src = (
+        "import os\n"
+        "class T:\n"
+        "    def arm(self, env):\n        env.call_later(1.0, self.fire, 3)\n"
+        "    def fire(self, n):\n        return os.environ['X']\n"
+    )
+    cert = certify(
+        analyze({"fixture.m": src}), entries=("fixture.m.T.arm",), allowlist={}
+    )
+    assert kinds_of(cert) == {"env-read"}
+    assert cert.violations[0].chain == ("fixture.m.T.arm", "fixture.m.T.fire")
+
+
 def test_unreachable_impurity_is_not_charged():
     srcs = {
         "fixture.m": (
