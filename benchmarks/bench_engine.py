@@ -6,9 +6,10 @@ Two harnesses share this module:
   per second for each network kind under a fixed uniform load, and the
   cost of network construction;
 * a CLI perf gate (``python benchmarks/bench_engine.py``) that times
-  the N=64 uniform-traffic load sweeps (DMIN and the multi-lane VMIN)
-  under both engine tiers (reference, fast), records the schema-4
-  result in ``benchmarks/BENCH_engine.json``, and -- with ``--check``
+  the N=64 uniform-traffic load sweeps (DMIN, the multi-lane VMIN and
+  the adaptive torus) under both engine tiers (reference, fast),
+  records the schema-5 result in ``benchmarks/BENCH_engine.json``,
+  and -- with ``--check``
   -- fails when an absolute tier gate breaks (the default fast tier
   >= 10x reference on the DMIN sweep and >= 20x reference on the
   streaming point) or a gated ratio regressed more than 20% against
@@ -97,9 +98,10 @@ def test_single_packet_end_to_end(benchmark):
 
 # ------------------------------------------------------------ CLI perf gate
 #
-# Schema 4 (two engine tiers).  Three scenarios, all the paper's N=64
-# uniform-traffic geometry with paper-fidelity 1024-flit messages
-# (the paper's longest; the figures fix the message length per curve):
+# Schema 5 (two engine tiers).  Four scenarios, all the paper's N=64
+# uniform-traffic geometry; the MIN legs use paper-fidelity 1024-flit
+# messages (the paper's longest; the figures fix the message length
+# per curve):
 #
 # * ``sweep``      -- the DMIN offered-load ladder.  Gate: fast >= 10x
 #                     reference.
@@ -111,6 +113,13 @@ def test_single_packet_end_to_end(benchmark):
 #                     per wire), with a shorter window: the channel
 #                     sweep's round robin and its solo-wire free-run.
 #                     No absolute floor; regression-gated only.
+# * ``torus_sweep`` -- the ladder on the 64-node (4-ary 3-cube)
+#                     adaptive torus with the paper's uniform 8..1024
+#                     flit sizes and a shorter window: the channel
+#                     sweep over single-lane wires visited in a
+#                     non-downstream-first order, where streaming worms
+#                     free-run on their steady buffer pattern.
+#                     Regression-gated only.
 #
 # ``--check`` re-times every scenario and fails when an absolute gate
 # breaks or a gated ratio regressed more than ``--tolerance`` against
@@ -126,6 +135,7 @@ REGRESSION_GATED = (
     ("sweep", "fast_over_reference"),
     ("streaming", "fast_over_reference"),
     ("vmin_sweep", "fast_over_reference"),
+    ("torus_sweep", "fast_over_reference"),
 )
 
 SWEEP_LOADS = (0.1, 0.2, 0.4, 0.6, 0.8, 1.0)
@@ -135,6 +145,8 @@ _WARMUP_PACKETS = 60
 _MEASURE_PACKETS = 300
 #: The VMIN leg's window: its reference tier is the slowest of all.
 _VMIN_MEASURE_PACKETS = 100
+#: The torus leg's window (paper sizes average ~516 flits).
+_TORUS_MEASURE_PACKETS = 100
 _MAX_CYCLES = 600_000
 #: A tier keeps repeating a scenario until it has spent this long on it:
 #: the optimized tiers finish the streaming point in ~50 ms, and a
@@ -142,8 +154,9 @@ _MAX_CYCLES = 600_000
 _MIN_TIMED_SECONDS = 1.0
 
 
-def _bench_cfg(measure_packets: int = _MEASURE_PACKETS):
-    """The timing RunConfig: full-fidelity sizes, shortened windows."""
+def _bench_cfg(measure_packets: int = _MEASURE_PACKETS, sizes=None):
+    """The timing RunConfig: full-fidelity sizes (fixed 1024 flits
+    unless ``sizes`` says otherwise), shortened windows."""
     from dataclasses import replace
 
     from repro.experiments.config import PRESETS
@@ -153,22 +166,21 @@ def _bench_cfg(measure_packets: int = _MEASURE_PACKETS):
         warmup_packets=_WARMUP_PACKETS,
         measure_packets=measure_packets,
         max_cycles=_MAX_CYCLES,
-        sizes=MessageSizeModel("fixed", _MESSAGE_FLITS, _MESSAGE_FLITS),
+        sizes=sizes or MessageSizeModel("fixed", _MESSAGE_FLITS, _MESSAGE_FLITS),
     )
 
 
 def _sweep_seconds(
-    engine_name: str, loads: tuple, repeats: int, kind: str, cfg
+    engine_name: str, loads: tuple, repeats: int, network, cfg
 ) -> tuple[float, object]:
-    """Best wall-clock of the N=64 uniform ``kind`` sweep over at least
-    ``repeats`` runs and at least ``_MIN_TIMED_SECONDS`` of timing."""
+    """Best wall-clock of the uniform sweep on ``network`` (a
+    ``NetworkConfig``) over at least ``repeats`` runs and at least
+    ``_MIN_TIMED_SECONDS`` of timing."""
     import time
 
-    from repro.experiments.config import NetworkConfig
     from repro.experiments.runner import sweep
     from repro.experiments.workload_spec import WorkloadSpec
 
-    network = NetworkConfig(kind)  # N = 64 (k=4, n=3)
     builder = WorkloadSpec(pattern="uniform").builder(cfg)
     best = float("inf")
     result = None
@@ -189,12 +201,17 @@ def _sweep_seconds(
 
 def _time_scenario(
     loads: tuple, repeats: int, kind: str = "dmin",
-    measure_packets: int = _MEASURE_PACKETS,
+    measure_packets: int = _MEASURE_PACKETS, router: str = "dor",
+    sizes=None,
 ) -> dict:
-    """Time both engines on one load set; assert they agree."""
-    cfg = _bench_cfg(measure_packets)
-    ref_s, ref = _sweep_seconds("reference", loads, repeats, kind, cfg)
-    fast_s, fast = _sweep_seconds("fast", loads, repeats, kind, cfg)
+    """Time both engines on one N=64 (k=4, n=3) load set; assert they
+    agree."""
+    from repro.experiments.config import NetworkConfig
+
+    network = NetworkConfig(kind, router=router)
+    cfg = _bench_cfg(measure_packets, sizes)
+    ref_s, ref = _sweep_seconds("reference", loads, repeats, network, cfg)
+    fast_s, fast = _sweep_seconds("fast", loads, repeats, network, cfg)
     assert fast.points == ref.points, (
         "fast and reference engines disagree -- run tests/differential"
     )
@@ -207,9 +224,9 @@ def _time_scenario(
 
 def run_gate(repeats: int = 3) -> dict:
     """Time both engine tiers on every scenario; return the JSON-ready
-    schema-4 record."""
+    schema-5 record."""
     return {
-        "schema": 4,
+        "schema": 5,
         "scenario": {
             "network": "dmin",
             "nodes": 64,
@@ -221,6 +238,9 @@ def run_gate(repeats: int = 3) -> dict:
             "streaming_loads": list(STREAMING_LOADS),
             "vmin_sweep_network": "vmin",
             "vmin_sweep_measure_packets": _VMIN_MEASURE_PACKETS,
+            "torus_sweep_network": "torus3d/adaptive",
+            "torus_sweep_message_flits": "uniform 8..1024",
+            "torus_sweep_measure_packets": _TORUS_MEASURE_PACKETS,
             "repeats": repeats,
             "min_timed_seconds": _MIN_TIMED_SECONDS,
         },
@@ -232,6 +252,10 @@ def run_gate(repeats: int = 3) -> dict:
         "streaming": _time_scenario(STREAMING_LOADS, repeats),
         "vmin_sweep": _time_scenario(
             SWEEP_LOADS, repeats, "vmin", _VMIN_MEASURE_PACKETS
+        ),
+        "torus_sweep": _time_scenario(
+            SWEEP_LOADS, repeats, "torus3d", _TORUS_MEASURE_PACKETS,
+            router="adaptive", sizes=MessageSizeModel.paper(),
         ),
     }
 
@@ -278,10 +302,10 @@ def main(argv=None) -> int:
     path = pathlib.Path(__file__).parent / "BENCH_engine.json"
 
     record = run_gate(repeats=args.repeats)
-    for name in ("sweep", "streaming", "vmin_sweep"):
+    for name in ("sweep", "streaming", "vmin_sweep", "torus_sweep"):
         row = record[name]
         print(
-            f"{name:10s}  reference {row['reference_seconds']:6.2f}s   "
+            f"{name:11s}  reference {row['reference_seconds']:6.2f}s   "
             f"fast {row['fast_seconds']:6.2f}s   "
             f"fast/ref {row['fast_over_reference']:6.2f}x"
         )

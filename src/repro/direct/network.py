@@ -80,7 +80,10 @@ class DirectNetwork(SimNetwork):
     #: full CDG is cyclic by design), so the engine's per-worm Phase B
     #: -- which assumes lanes are acquired in ascending topological
     #: order -- must stay off; the active-channel sweep handles any
-    #: acquisition order bit-identically.
+    #: acquisition order bit-identically.  Free-run and span sleep
+    #: still apply on unslowed fabrics: a streaming worm's buffers
+    #: hold the steady pattern the sweep order sets (see
+    #: :mod:`repro.wormhole.ledger`).
     worm_phase_ok = False
 
     def __init__(

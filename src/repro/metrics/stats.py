@@ -35,7 +35,11 @@ def percentile(values: Sequence[float], q: float) -> float:
         raise ValueError("percentile of empty sequence")
     if not 0 <= q <= 100:
         raise ValueError("q must be within [0, 100]")
-    ordered = sorted(values)
+    return _sorted_percentile(sorted(values), q)
+
+
+def _sorted_percentile(ordered: Sequence[float], q: float) -> float:
+    """:func:`percentile` of an already-sorted, non-empty sequence."""
     if len(ordered) == 1:
         return ordered[0]
     pos = (len(ordered) - 1) * q / 100

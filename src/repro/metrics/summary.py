@@ -26,7 +26,7 @@ import math
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Sequence
 
-from repro.metrics.stats import batch_means, mean, percentile
+from repro.metrics.stats import _sorted_percentile, batch_means, mean
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.metrics.collector import Measurement
@@ -65,12 +65,12 @@ class LatencySummary:
             ci = _NAN
         # percentile()'s interpolation is not monotone in q under
         # rounding; capping each by the next one up keeps them ordered.
-        p99 = percentile(ordered, 99)
-        p95 = min(percentile(ordered, 95), p99)
+        p99 = _sorted_percentile(ordered, 99)
+        p95 = min(_sorted_percentile(ordered, 95), p99)
         return cls(
             count=len(ordered),
             mean=mean(ordered),
-            p50=min(percentile(ordered, 50), p95),
+            p50=min(_sorted_percentile(ordered, 50), p95),
             p95=p95,
             p99=p99,
             max=ordered[-1],

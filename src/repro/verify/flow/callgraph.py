@@ -367,6 +367,25 @@ class ProjectGraph:
                 queue.extend(cls.bases)
         return []
 
+    def subscriber_methods(self, class_name: str) -> List[str]:
+        """The ``on_*`` methods of ``class_name`` and its bases, the
+        callbacks a bus subscription registers (an override shadows
+        its base's method)."""
+        found: Dict[str, str] = {}
+        seen: Set[str] = set()
+        queue = [class_name]
+        while queue:
+            cn = queue.pop(0)
+            if cn in seen:
+                continue
+            seen.add(cn)
+            for cls in self.classes_by_name.get(cn, []):
+                for name, qual in cls.methods.items():
+                    if name.startswith("on_"):
+                        found.setdefault(name, qual)
+                queue.extend(cls.bases)
+        return list(found.values())
+
     def constructor_targets(self, class_name: str) -> List[str]:
         out: List[str] = []
         for cls in self.classes_by_name.get(class_name, []):
@@ -500,6 +519,13 @@ class _CallResolver:
             if _is_self_attr(arg) and self.fn.class_name:
                 self._add_project(self.graph.class_method(self.fn.class_name, arg.attr))
         fn = call.func
+        # A subscription (``engine.bus.attach(self)``) makes the bus
+        # call the subscriber's ``on_*`` methods later.
+        if isinstance(fn, ast.Attribute) and fn.attr == "attach":
+            for arg in call.args:
+                cls_name = self._receiver_type(arg)
+                if cls_name is not None:
+                    self._add_project(self.graph.subscriber_methods(cls_name))
         if isinstance(fn, ast.Name):
             self._resolve_name_call(call, fn.id)
         elif isinstance(fn, ast.Attribute):

@@ -258,20 +258,25 @@ class WormholeEngine:
         #: The ledger's live free-running worms (truthy while any
         #: stream; progress/watchdog accounting).
         self._lazy_live = self._ledger.live
-        #: Free-run (the ledger plus span sleep) needs every route to
-        #: follow the topological channel order (``worm_phase_ok``; the
-        #: direct topologies' adaptive routing defies it) and no slowed
-        #: wire (per-channel cooldown is channel-sweep bookkeeping).
-        self._free_run = network.worm_phase_ok and all(
+        #: Free-run (the ledger plus span sleep) needs no slowed wire
+        #: (per-channel cooldown is channel-sweep bookkeeping).  Any
+        #: channel order will do: a streaming worm's buffers settle
+        #: into the pattern that order sets (see :meth:`_enter_lazy`).
+        self._free_run = all(
             ch.slowdown == 1 for ch in network.topo_channels
         )
-        #: Per-worm Phase B additionally needs single-lane wires
-        #: (TMIN/DMIN/BMIN).  The VMIN's virtual channels couple the
-        #: worms sharing a wire through the round-robin arbiter, so it
-        #: keeps the channel sweep, where only worms whose every held
-        #: wire is solo free-run (see :meth:`_enter_solo`).
-        self._worm_mode = self._free_run and all(
-            len(ch.lanes) == 1 for ch in network.topo_channels
+        #: Per-worm Phase B additionally needs every route to follow
+        #: the topological channel order (``worm_phase_ok``; the direct
+        #: topologies' adaptive routing defies it) and single-lane
+        #: wires (TMIN/DMIN/BMIN).  The VMIN's virtual channels couple
+        #: the worms sharing a wire through the round-robin arbiter, so
+        #: it keeps the channel sweep, as do the direct fabrics; there
+        #: only worms whose every held wire is solo free-run (see
+        #: :meth:`_enter_solo`).
+        self._worm_mode = (
+            self._free_run
+            and network.worm_phase_ok
+            and all(len(ch.lanes) == 1 for ch in network.topo_channels)
         )
         #: node -> injection channel, resolved once (fast path).
         self._inj = [
@@ -815,15 +820,17 @@ class WormholeEngine:
     def _phase_advance_fast(self) -> None:
         """Phase B, fast path: per-worm sweep or active-channel sweep.
 
-        On all-single-lane networks with no hot bus sink the per-worm
-        sweep (:meth:`_phase_advance_worms`) visits only worms that
-        can still move; otherwise (VMIN's multi-lane wires, or a tracer
-        demanding the exact per-channel event order) the channel sweep
-        runs.  Both sweeps hand worms to the free-run ledger unless a
-        hot sink needs real per-flit state, in which case every
-        free-running worm is materialized first.  Both orderings move
-        the same flits and emit the same observable state, so flipping
-        between them mid-run -- a tracer attaching, say -- is safe.
+        On single-lane networks whose routes follow the channel order
+        (``_worm_mode``), with no hot bus sink, the per-worm sweep
+        (:meth:`_phase_advance_worms`) visits only worms that can still
+        move; otherwise (VMIN's multi-lane wires, the direct fabrics,
+        or a tracer demanding the exact per-channel event order) the
+        channel sweep runs.  Both sweeps hand worms to the free-run
+        ledger unless a hot sink needs real per-flit state, in which
+        case every free-running worm is materialized first.  Both
+        orderings move the same flits and emit the same observable
+        state, so flipping between them mid-run -- a tracer attaching,
+        say -- is safe.
         """
         if not self.bus.hot:
             if self._worm_mode:
@@ -1144,20 +1151,23 @@ class WormholeEngine:
         """Try to switch a delivery-phase worm to free-run fast-forward.
 
         Once the header streams into the destination and every owned
-        upstream lane's 1-flit buffer is full (a perfectly compressed
-        pipeline), the worm's remaining life is deterministic: every
-        owned lane moves one flit per cycle until its tail crosses, and
-        the header never routes again.  Instead of revisiting the worm
-        each cycle, schedule its future *observable* effects -- each
-        lane's tail release, each released buffer's final drain, the
-        delivery -- as topo-keyed actions in the free-run ledger and
-        drop it from the moving list.  The action merge in
+        upstream lane's 1-flit buffer holds the steady pattern -- full
+        when the sweep visits the downstream lane first, empty when it
+        visits the lane itself first; all full on a MIN, a perfectly
+        compressed pipeline -- the worm's remaining life is
+        deterministic: every owned lane moves one flit per cycle until
+        its tail crosses, and the header never routes again.  Instead
+        of revisiting the worm each cycle, schedule its future
+        *observable* effects -- each lane's tail release, each released
+        full buffer's final drain, the delivery -- as topo-keyed
+        actions in the free-run ledger and drop it from the moving
+        list.  The action merge in
         :meth:`_phase_advance_worms` replays them at exactly the
         reference sweep's cycle and within-cycle position, so the
         schedule stays bit-identical.  Buffers need no bookkeeping in
-        between: a compressed pipeline drains and refills each buffer
-        within every cycle, so the frozen value (1) *is* the reference
-        end-of-cycle state.
+        between: a cycle in which every owned lane moves drains and
+        refills a full buffer, and fills and drains an empty one, so
+        the frozen pattern *is* the reference end-of-cycle state.
 
         Both Phase B sweeps call this: the per-worm walk for any worm
         it moved, the channel sweep (through :meth:`_enter_solo`) for a
@@ -1169,10 +1179,16 @@ class WormholeEngine:
         """
         lanes = p.lanes
         n1 = len(lanes) - 1
+        down = lanes[n1].channel.topo_order
         i = n1 - 1
-        while i >= 0 and lanes[i].owner is p:
-            if lanes[i].buf != 1:
-                return False  # a gap in the pipeline: still compressing
+        while i >= 0:
+            lane = lanes[i]
+            if lane.owner is not p:
+                break
+            up = lane.channel.topo_order
+            if lane.buf != (down < up):
+                return False  # off the steady pattern: still settling
+            down = up
             i -= 1
         s = i + 1  # first owned lane index (owned lanes are a suffix)
         if s and lanes[s - 1].buf == 0:
@@ -1201,15 +1217,14 @@ class WormholeEngine:
         dropped = False
         for p in cands:
             # The head's delivery wire is solo; walk the owned lanes
-            # upstream of it (a suffix of ``p.lanes``) for a shared wire
-            # or a buffer gap, the cheap rejections.
+            # upstream of it (a suffix of ``p.lanes``) for a shared
+            # wire, the cheap rejection (``_enter_lazy`` checks the
+            # buffers).
             lanes = p.lanes
             i = len(lanes) - 2
             while i >= 0:
                 lane = lanes[i]
-                if lane.owner is not p:
-                    break
-                if lane.buf != 1 or lane.channel.owned_count != 1:
+                if lane.owner is not p or lane.channel.owned_count != 1:
                     break
                 i -= 1
             if (i >= 0 and lanes[i].owner is p) or not self._enter_lazy(p):
@@ -1269,11 +1284,11 @@ class WormholeEngine:
         During free-run only the scheduled actions touch the worm, so
         its ``sent`` counters and ``delivered_flits`` sit stale at
         their entry snapshot.  Reconstruct: the head moved once per
-        completed cycle since entry, and a perfectly compressed
-        pipeline keeps every owned lane exactly one flit ahead of its
-        downstream neighbour.  Buffers need no repair (they hold 1
-        throughout streaming, and executed drains already ran at their
-        reference cycle).  Pending actions die via the token bump;
+        completed cycle since entry, and each owned lane is ahead of
+        its downstream neighbour by exactly the flits its buffer holds.
+        Buffers need no repair (they keep the steady pattern throughout
+        streaming, and executed drains already ran at their reference
+        cycle).  Pending actions die via the token bump;
         cancelled drains are subsumed by the restored lanes' own
         subsequent moves.  Wires the channel sweep took off ``_active``
         at entry (see :meth:`_enter_solo`) go back on it.
@@ -1283,12 +1298,13 @@ class WormholeEngine:
             moves = 0  # materialized within the entry cycle itself
         head_sent = p._lz_sent0 + moves
         lanes = p.lanes
-        n1 = len(lanes) - 1
-        for i in range(n1, -1, -1):
+        sent = head_sent
+        for i in range(len(lanes) - 1, -1, -1):
             lane = lanes[i]
             if lane.owner is not p:
                 break
-            lane.sent = head_sent + (n1 - i)
+            sent += lane.buf  # the head's delivery lane buffers nothing
+            lane.sent = sent
             ch = lane.channel
             if not ch.in_active:
                 ch.in_active = True

@@ -1,12 +1,17 @@
 """Free-run ledger of the optimized engine tier (``fast``).
 
-A worm whose header streams into its destination behind a perfectly
-compressed pipeline has a deterministic remaining life (see
-``WormholeEngine._enter_lazy``).  The engine stops visiting such a worm
-and instead registers its future *observable* effects here: each owned
-lane's tail release, each released buffer's final drain, and the
-delivery.  :meth:`FreeRunLedger.add` expands them once into per-cycle
-due buckets; a due cycle is then one dict pop and a quiet cycle one
+A worm whose header streams into its destination with every owned
+lane moving one flit per cycle has a deterministic remaining life (see
+``WormholeEngine._enter_lazy``).  Its end-of-cycle buffers then hold a
+steady pattern that the Phase B channel order sets: the buffer between
+owned lanes i and i+1 holds one flit when the sweep visits lane i+1
+first (always on a MIN, whose order is downstream-first) and none when
+it visits lane i first (possible on the direct fabrics).  The engine
+stops visiting such a worm and instead registers its future
+*observable* effects here: each owned lane's tail release, each
+released full buffer's final drain, and the delivery.
+:meth:`FreeRunLedger.add` expands them once into per-cycle due
+buckets; a due cycle is then one dict pop and a quiet cycle one
 integer compare.  A min-heap of bucket keys backs
 :meth:`FreeRunLedger.next_due`, the horizon that lets the engine clock
 sleep across provably event-free cycle spans
@@ -60,21 +65,32 @@ class FreeRunLedger:
 
         ``p.lanes[s:n1 + 1]`` are its owned lanes (head ``n1`` on the
         delivery channel) and ``deliver`` is the cycle its tail reaches
-        the destination.
+        the destination.  The owned lanes' buffers must hold the steady
+        pattern: lane i releases ``sum(buf[i:n1])`` cycles before the
+        delivery, and only a full buffer gets a final drain.
         """
         self.live[p] = None
         lanes = p.lanes
         tok = p._lz_token
         bucket = self._bucket
+        # Flits buffered between lane s and the head (the steady
+        # pattern's sum; see the module docstring).
+        ahead = 0
+        for i in range(s, n1):
+            ahead += lanes[i].buf
         for i in range(s, n1):
             lane = lanes[i]
-            # Tail crosses lane i once the head is (n1 - i) deliveries
-            # from done; the buffered tail flit drains one cycle later
-            # via the downstream channel's move.
-            t = deliver - (n1 - i)
+            # Tail crosses lane i once the head is ``ahead`` (the flits
+            # buffered from lane i on) deliveries from done; a full
+            # buffer's tail flit drains one cycle later via the
+            # downstream channel's move, an empty one's within the
+            # release cycle itself.
+            t = deliver - ahead
             bucket(t).append((lane.channel.topo_order, 1, p, tok, lane))
-            down = lanes[i + 1].channel.topo_order
-            bucket(t + 1).append((down, 0, p, tok, lane))
+            if lane.buf:
+                down = lanes[i + 1].channel.topo_order
+                bucket(t + 1).append((down, 0, p, tok, lane))
+                ahead -= 1
         if s:
             # The already-released lane just upstream still buffers one
             # flit (its tail crossed, lane ``s`` has not); lane ``s``

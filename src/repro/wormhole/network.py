@@ -51,7 +51,7 @@ class SimNetwork:
     #: order, the precondition of the engine's per-worm Phase B.  The
     #: MINs satisfy it by construction; the direct topologies
     #: (adaptive routing, cyclic full CDG) opt out and keep the
-    #: bit-identical channel sweep.
+    #: bit-identical channel sweep (free-run does not need it).
     worm_phase_ok = True
 
     def injection_channel(self, node: int) -> PhysChannel:

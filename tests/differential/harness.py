@@ -93,7 +93,7 @@ def run_case(
     load: float,
     engine: str,
     *,
-    faults: bool = False,
+    faults=False,
     sanitize: bool = False,
     sink=None,
     sink_at: float | None = None,
@@ -112,6 +112,9 @@ def run_case(
     stream, simulator-kernel counters, and (with ``faults``) the
     injector's tallies.  Two snapshots compare equal iff the runs were
     bit-identical.
+
+    ``faults`` installs :func:`fault_plan`, or -- given a callable --
+    the plan it builds from the engine.
 
     ``sink`` attaches a bus sink before the run, or -- with
     ``sink_at`` -- mid-run, at that simulated time; the sink's
@@ -160,7 +163,8 @@ def run_case(
                 env.process(_attach_at(env, eng, sink, sink_at))
         injector = None
         if faults:
-            injector = fault_plan(eng).install(env, eng.network, eng)
+            plan = faults(eng) if callable(faults) else fault_plan(eng)
+            injector = plan.install(env, eng.network, eng)
         governor = None
         if overload is not None:
             from repro.stability import AIMDConfig, AIMDGovernor, BoundedQueue

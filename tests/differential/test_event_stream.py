@@ -65,11 +65,23 @@ CFG_STREAM = replace(
 )
 
 
-@pytest.mark.parametrize("kind", ("dmin", "vmin"))
-def test_event_stream_identity_mid_run_attach(kind: str, monkeypatch) -> None:
+@pytest.mark.parametrize(
+    "kind, net_kwargs",
+    (
+        pytest.param("dmin", None, id="dmin"),
+        pytest.param("vmin", None, id="vmin"),
+        pytest.param(
+            "torus3d", {"k": 4, "n": 3, "router": "adaptive"}, id="torus3d"
+        ),
+    ),
+)
+def test_event_stream_identity_mid_run_attach(
+    kind: str, net_kwargs, monkeypatch
+) -> None:
     """A hot sink attaching while worms free-run: the fast tier must
-    materialize them (on the VMIN, put their wires back on the channel
-    sweep) so the transmit log from the attach on matches the
+    materialize them (on the VMIN and the torus, put their wires back
+    on the channel sweep; on the torus, from buffers that are not all
+    full) so the transmit log from the attach on matches the
     reference's, with every observable bit-identical.  (The sanitizer
     switches free-run off, so this case always runs without it.)"""
     monkeypatch.delenv("REPRO_SANITIZE", raising=False)
@@ -77,12 +89,12 @@ def test_event_stream_identity_mid_run_attach(kind: str, monkeypatch) -> None:
     rec_ref = EventRecorder()
     snap_ref = run_case(
         kind, "uniform", 0.2, "reference", sink=rec_ref, sink_at=at,
-        run_cfg=CFG_STREAM,
+        run_cfg=CFG_STREAM, net_kwargs=net_kwargs,
     )
     rec = EventRecorder()
     snap = run_case(
         kind, "uniform", 0.2, "fast", sink=rec, sink_at=at,
-        run_cfg=CFG_STREAM,
+        run_cfg=CFG_STREAM, net_kwargs=net_kwargs,
     )
     assert rec.free_running_at_attach > 0, "no worm free-ran at the attach"
     assert strip_kernel_counters(snap) == strip_kernel_counters(snap_ref)

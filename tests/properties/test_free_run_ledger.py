@@ -6,9 +6,11 @@ gets a randomized oracle here (numpy-free, so it runs in tier 1):
 * :class:`~repro.wormhole.ledger.FreeRunLedger` -- the action schedule
   expanded by ``add`` must match an independent reimplementation of
   the documented free-run schedule bucket for bucket (keys, tuples,
-  and within-bucket insertion order), ``next_due`` must never
-  overshoot the true horizon, and the live registry must round-trip
-  through add/remove/clear;
+  and within-bucket insertion order) for any steady buffer pattern,
+  and reproduce the compressed-pipeline schedule verbatim when every
+  buffer is full (the MINs); ``next_due`` must never overshoot the
+  true horizon, and the live registry must round-trip through
+  add/remove/clear;
 * :meth:`~repro.sim.rng.RandomStream.shuffle_k` -- replaying ``k``
   deferred service-order shuffles must produce the permutation of
   ``k`` sequential ``shuffle`` calls and leave the stream at the same
@@ -58,7 +60,9 @@ class _Pkt:
         self._lz_token = token
 
 
-#: One free-run registration: (s, suffix length, entry cycle, slack).
+#: One free-run registration: (s, suffix length, entry cycle, slack,
+#: buffer bits).  Bit ``i - s`` of the last field is owned lane i's
+#: steady buffer (1 when the sweep visits its downstream lane first).
 #: ``deliver`` is placed so every expanded action lands strictly after
 #: the entry cycle, as the engine guarantees.
 _entry = st.tuples(
@@ -66,20 +70,79 @@ _entry = st.tuples(
     st.integers(1, 5),
     st.integers(0, 400),
     st.integers(1, 50),
+    st.integers(0, 15),
 )
 
 
-def _worm(token, s, m, cycle, slack):
-    """A synthetic worm with owned suffix ``lanes[s:n1 + 1]``."""
+def _worm(token, s, m, cycle, slack, bits):
+    """A synthetic worm with owned suffix ``lanes[s:n1 + 1]``.
+
+    Owned upstream lanes buffer the drawn pattern, the released lane
+    just upstream of ``s`` its tail flit, and the delivery head
+    nothing.
+    """
     n1 = s + m - 1
-    lanes = [
-        _Lane(token, 0, _Chan(i, is_delivery=i == n1)) for i in range(n1 + 1)
-    ]
-    return _Pkt(lanes, 16, token=token), n1, cycle + (n1 - s) + slack
+    lanes = []
+    for i in range(n1 + 1):
+        buf = 0 if i == n1 else 1 if i < s else (bits >> (i - s)) & 1
+        lanes.append(_Lane(token, buf, _Chan(i, is_delivery=i == n1)))
+    buffered = sum(lane.buf for lane in lanes[s:n1])
+    return _Pkt(lanes, 16, token=token), n1, cycle + buffered + slack
 
 
 def _model_schedule(p, s, n1, cycle, deliver):
-    """The documented free-run schedule, reimplemented from scratch."""
+    """The documented free-run schedule, reimplemented from scratch:
+    lane i releases once the head is the flits buffered from lane i
+    on from done, and only a full buffer drains a cycle later."""
+    lanes = p.lanes
+    tok = p._lz_token
+    out: dict = {}
+    for i in range(s, n1):
+        t = deliver - sum(lane.buf for lane in lanes[i:n1])
+        out.setdefault(t, []).append(
+            (lanes[i].channel.topo_order, 1, p, tok, lanes[i])
+        )
+        if lanes[i].buf == 1:
+            out.setdefault(t + 1, []).append(
+                (lanes[i + 1].channel.topo_order, 0, p, tok, lanes[i])
+            )
+    if s:
+        out.setdefault(cycle + 1, []).append(
+            (lanes[s].channel.topo_order, 0, p, tok, lanes[s - 1])
+        )
+    out.setdefault(deliver, []).append(
+        (lanes[n1].channel.topo_order, 2, p, tok, lanes[n1])
+    )
+    return out
+
+
+@given(entries=st.lists(_entry, min_size=1, max_size=10))
+@settings(max_examples=150, deadline=None)
+def test_ledger_schedule_equivalence(entries):
+    """Every bucket the ledger expands -- keys, tuples, insertion
+    order -- matches the independent model, and draining by ascending
+    cycle empties both the same way."""
+    ledger = FreeRunLedger()
+    model: dict = {}
+    for token, (s, m, cycle, slack, bits) in enumerate(entries):
+        p, n1, deliver = _worm(token, s, m, cycle, slack, bits)
+        ledger.add(p, s, n1, cycle, deliver)
+        for t, acts in _model_schedule(p, s, n1, cycle, deliver).items():
+            model.setdefault(t, []).extend(acts)
+    assert len(ledger.live) == len(entries)
+    while model:
+        t = min(model)
+        assert ledger.next_due() <= t  # never overshoots the horizon
+        got = ledger.pop_due(t)
+        assert got == model.pop(t)
+    assert ledger.next_due() == FAR
+    assert ledger.pop_due(10**9) is None
+
+
+def _compressed_schedule(p, s, n1, cycle, deliver):
+    """The all-full (compressed pipeline) schedule as first documented:
+    lane i releases ``n1 - i`` cycles before the delivery and every
+    released buffer drains one cycle later."""
     lanes = p.lanes
     tok = p._lz_token
     out: dict = {}
@@ -102,26 +165,22 @@ def _model_schedule(p, s, n1, cycle, deliver):
 
 
 @given(entries=st.lists(_entry, min_size=1, max_size=10))
-@settings(max_examples=150, deadline=None)
-def test_ledger_schedule_equivalence(entries):
-    """Every bucket the ledger expands -- keys, tuples, insertion
-    order -- matches the independent model, and draining by ascending
-    cycle empties both the same way."""
+@settings(max_examples=100, deadline=None)
+def test_ledger_all_full_reproduces_compressed_schedule(entries):
+    """With every owned buffer full -- always the case on a MIN -- the
+    ledger expands exactly the compressed-pipeline schedule, bucket
+    insertion order included."""
     ledger = FreeRunLedger()
     model: dict = {}
-    for token, (s, m, cycle, slack) in enumerate(entries):
-        p, n1, deliver = _worm(token, s, m, cycle, slack)
+    for token, (s, m, cycle, slack, _) in enumerate(entries):
+        p, n1, deliver = _worm(token, s, m, cycle, slack, 15)
         ledger.add(p, s, n1, cycle, deliver)
-        for t, acts in _model_schedule(p, s, n1, cycle, deliver).items():
+        for t, acts in _compressed_schedule(p, s, n1, cycle, deliver).items():
             model.setdefault(t, []).extend(acts)
-    assert len(ledger.live) == len(entries)
     while model:
         t = min(model)
-        assert ledger.next_due() <= t  # never overshoots the horizon
-        got = ledger.pop_due(t)
-        assert got == model.pop(t)
+        assert ledger.pop_due(t) == model.pop(t)
     assert ledger.next_due() == FAR
-    assert ledger.pop_due(10**9) is None
 
 
 @given(
@@ -135,8 +194,8 @@ def test_ledger_registry_round_trip(entries, drops):
     token, and clear forgets everything."""
     ledger = FreeRunLedger()
     worms = {}
-    for token, (s, m, cycle, slack) in enumerate(entries):
-        p, n1, deliver = _worm(token, s, m, cycle, slack)
+    for token, (s, m, cycle, slack, bits) in enumerate(entries):
+        p, n1, deliver = _worm(token, s, m, cycle, slack, bits)
         ledger.add(p, s, n1, cycle, deliver)
         worms[token] = p
     horizon = ledger.next_due()
@@ -165,8 +224,8 @@ def test_ledger_skipped_buckets_are_purged(entries, visits):
     bucket of the visited cycle."""
     ledger = FreeRunLedger()
     model: dict = {}
-    for token, (s, m, cycle, slack) in enumerate(entries):
-        p, n1, deliver = _worm(token, s, m, cycle, slack)
+    for token, (s, m, cycle, slack, bits) in enumerate(entries):
+        p, n1, deliver = _worm(token, s, m, cycle, slack, bits)
         ledger.add(p, s, n1, cycle, deliver)
         for t, acts in _model_schedule(p, s, n1, cycle, deliver).items():
             model.setdefault(t, []).extend(acts)

@@ -124,6 +124,35 @@ def test_bound_method_handed_to_a_call_is_an_edge():
     assert cert.violations[0].chain == ("fixture.m.T.arm", "fixture.m.T.fire")
 
 
+def test_bus_subscription_is_an_edge():
+    """A bus subscriber's callbacks run when the bus publishes:
+    ``bus.attach(self)`` reaches every ``on_*`` method, inherited ones
+    included, and nothing else of the subscriber."""
+    src = (
+        "import os, time\n"
+        "class Base:\n"
+        "    def on_abort(self, t, p):\n        return time.time()\n"
+        "class Sub(Base):\n"
+        "    def __init__(self, engine):\n        engine.bus.attach(self)\n"
+        "    def on_deliver(self, t, p):\n        self._arrived(p)\n"
+        "    def _arrived(self, p):\n        return os.environ['X']\n"
+        "    def unused(self):\n        return open('f')\n"
+    )
+    cert = certify(
+        analyze({"fixture.m": src}),
+        entries=("fixture.m.Sub.__init__",),
+        allowlist={},
+    )
+    assert kinds_of(cert) == {"env-read", "wall-clock"}
+    chains = {v.chain for v in cert.violations}
+    assert (
+        "fixture.m.Sub.__init__",
+        "fixture.m.Sub.on_deliver",
+        "fixture.m.Sub._arrived",
+    ) in chains
+    assert ("fixture.m.Sub.__init__", "fixture.m.Base.on_abort") in chains
+
+
 def test_unreachable_impurity_is_not_charged():
     srcs = {
         "fixture.m": (
@@ -276,9 +305,13 @@ def test_witness_renders_entry_to_sink():
 
 
 @pytest.fixture(scope="module")
-def repo_cert():
-    analysis = ProjectAnalysis.from_package(SRC, "repro")
-    return certify(analysis, entries=DEFAULT_ENTRY_POINTS)
+def repo_analysis():
+    return ProjectAnalysis.from_package(SRC, "repro")
+
+
+@pytest.fixture(scope="module")
+def repo_cert(repo_analysis):
+    return certify(repo_analysis, entries=DEFAULT_ENTRY_POINTS)
 
 
 def test_repo_compute_closure_certifies_pure(repo_cert):
@@ -294,6 +327,33 @@ def test_repo_every_allowlist_entry_is_used(repo_cert):
 def test_repo_entry_points_all_exist(repo_cert):
     assert repo_cert.missing_entries == []
     assert repo_cert.reachable > 100  # the closure is the real engine
+
+
+def test_repo_closure_contains_bus_callbacks(repo_analysis):
+    """The transport's and the retry layer's bus callbacks -- and what
+    they call -- are in the certified closure: serve's transport and
+    faulted points run them."""
+    calls = {q: fn.calls for q, fn in repo_analysis.graph.functions.items()}
+    seen = set(DEFAULT_ENTRY_POINTS)
+    queue = list(seen)
+    while queue:
+        for callee in calls.get(queue.pop(), ()):
+            if callee not in seen and callee not in PURITY_ALLOWLIST:
+                seen.add(callee)
+                queue.append(callee)
+    transport = "repro.transport.reliable.ReliableTransport."
+    retry = "repro.faults.recovery.SourceRetry."
+    for name in (
+        *(transport + m for m in (
+            "on_deliver", "on_abort", "on_shed",
+            "_data_arrived", "_ack_arrived", "_send_ack",
+        )),
+        *(retry + m for m in (
+            "on_offer", "on_deliver", "on_abort", "on_shed",
+            "_on_fail", "_reinject", "_watchdog",
+        )),
+    ):
+        assert name in seen, f"{name} is outside the certified closure"
 
 
 def test_certificate_json_shape(repo_cert):

@@ -25,10 +25,11 @@ SRC = Path(__file__).resolve().parents[2] / "src"
 CYCLES = 20_000
 
 
-def streaming_point(engine=None, load=0.1, kind="dmin"):
-    """A point with 1024-flit worms at light load (clock not started)."""
+def streaming_point(engine=None, load=0.1, kind="dmin", router="dor"):
+    """A point with 1024-flit worms at light load (clock not started);
+    ``router`` applies to the direct kinds."""
     cfg = replace(PRESETS["smoke"], sizes=MessageSizeModel("fixed", 1024, 1024))
-    network = NetworkConfig(kind)
+    network = NetworkConfig(kind, router=router)
     env, eng, root = build_point(network, load, cfg, engine)
     workload = WorkloadSpec(pattern="uniform").builder(cfg)(load)
     workload.install(env, eng, root.fork(f"workload/{network.label}/{load}"))

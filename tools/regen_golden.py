@@ -40,7 +40,9 @@ FIXTURES = REPO / "tests" / "golden" / "fixtures"
 SCHEMA = 1
 
 #: The golden grid: all four networks under uniform traffic at a light
-#: and a heavy load, plus permutation/hotspot spot checks (12 total).
+#: and a heavy load, permutation/hotspot spot checks, and the 64-node
+#: (4-ary 3-cube) DOR torus and mesh the MINs are compared against
+#: (14 total).
 SCENARIOS: dict[str, tuple[str, str, float]] = {
     "tmin_uniform_l03": ("tmin", "uniform", 0.3),
     "tmin_uniform_l08": ("tmin", "uniform", 0.8),
@@ -54,6 +56,8 @@ SCENARIOS: dict[str, tuple[str, str, float]] = {
     "bmin_shuffle_l06": ("bmin", "shuffle", 0.6),
     "tmin_hotspot_l05": ("tmin", "hotspot", 0.5),
     "vmin_butterfly_l05": ("vmin", "butterfly", 0.5),
+    "torus3d_uniform_l03": ("torus3d", "uniform", 0.3),
+    "mesh3d_uniform_l08": ("mesh3d", "uniform", 0.8),
 }
 
 
