@@ -7,14 +7,15 @@ Two harnesses share this module:
   cost of network construction;
 * a CLI perf gate (``python benchmarks/bench_engine.py``) that times
   the N=64 uniform-traffic load sweeps (DMIN, the multi-lane VMIN and
-  the adaptive torus) under both engine tiers (reference, fast),
-  records the schema-5 result in ``benchmarks/BENCH_engine.json``,
-  and -- with ``--check``
-  -- fails when an absolute tier gate breaks (the default fast tier
-  >= 10x reference on the DMIN sweep and >= 20x reference on the
-  streaming point) or a gated ratio regressed more than 20% against
-  the committed baseline.  The gate compares *ratios*, not absolute seconds, so it is
-  stable across machines of different speed (CI runners vs. laptops).
+  the adaptive torus) under both engine tiers (reference, fast) in
+  alternating pairs, records the schema-6 result in
+  ``benchmarks/BENCH_engine.json``, and -- with ``--check`` -- fails
+  when an absolute tier gate breaks (the default fast tier >= 10x
+  reference on the DMIN sweep and >= 20x reference on the streaming
+  point) or a gated ratio regressed more than 20% against the
+  committed baseline.  The gate compares *ratios*, not absolute
+  seconds, so it is stable across machines of different speed (CI
+  runners vs. laptops).
 
     PYTHONPATH=src python benchmarks/bench_engine.py          # rebaseline
     PYTHONPATH=src python benchmarks/bench_engine.py --check  # CI gate
@@ -98,10 +99,10 @@ def test_single_packet_end_to_end(benchmark):
 
 # ------------------------------------------------------------ CLI perf gate
 #
-# Schema 5 (two engine tiers).  Four scenarios, all the paper's N=64
-# uniform-traffic geometry; the MIN legs use paper-fidelity 1024-flit
-# messages (the paper's longest; the figures fix the message length
-# per curve):
+# Schema 6 (two engine tiers, paired readings).  Four scenarios, all
+# the paper's N=64 uniform-traffic geometry; the MIN legs use
+# paper-fidelity 1024-flit messages (the paper's longest; the figures
+# fix the message length per curve):
 #
 # * ``sweep``      -- the DMIN offered-load ladder.  Gate: fast >= 10x
 #                     reference.
@@ -121,10 +122,19 @@ def test_single_packet_end_to_end(benchmark):
 #                     free-run on their steady buffer pattern.
 #                     Regression-gated only.
 #
-# ``--check`` re-times every scenario and fails when an absolute gate
-# breaks or a gated ratio regressed more than ``--tolerance`` against
-# the committed baseline.  Gating ratios (not seconds) keeps
-# the check stable across machines of different speed.
+# How a leg is measured.  A shared host changes speed by a third within
+# minutes, so two best-of times taken a minute apart do not make a
+# ratio.  Each leg runs ``--pairs`` (>= 5) reference/fast pairs back to
+# back, alternating which tier goes first, and reads the median of the
+# per-pair ratios.  Every run is timed on the benchmark suite's
+# reference clock (``benchmarks/suite/refclock.py``) over process CPU
+# time: stolen time is not counted, and the host's speed of the moment
+# is calibrated out every 20 ms.  The baseline stores each leg's
+# readings, their median and their spread.
+#
+# ``--check`` re-measures every scenario and fails when an absolute gate
+# breaks or a gated median ratio fell more than ``--tolerance`` below
+# the committed baseline's.
 
 #: Absolute floors of the default tier over the reference.
 GATE_SWEEP_FAST_OVER_REFERENCE = 10.0
@@ -148,10 +158,13 @@ _VMIN_MEASURE_PACKETS = 100
 #: The torus leg's window (paper sizes average ~516 flits).
 _TORUS_MEASURE_PACKETS = 100
 _MAX_CYCLES = 600_000
-#: A tier keeps repeating a scenario until it has spent this long on it:
-#: the optimized tiers finish the streaming point in ~50 ms, and a
-#: best-of-3 over runs that short swings by a third on a shared host.
-_MIN_TIMED_SECONDS = 1.0
+#: Reference/fast pairs per leg (the fewest a baseline may hold).
+MIN_PAIRS = 5
+#: Within a pair, a tier repeats the scenario until it has spent this
+#: many reference seconds on it and reports the mean per run: the fast
+#: tier finishes the streaming point in ~30 ms.
+_MIN_PAIR_SECONDS = 0.25
+_SUITE = pathlib.Path(__file__).resolve().parent / "suite"
 
 
 def _bench_cfg(measure_packets: int = _MEASURE_PACKETS, sizes=None):
@@ -170,63 +183,92 @@ def _bench_cfg(measure_packets: int = _MEASURE_PACKETS, sizes=None):
     )
 
 
-def _sweep_seconds(
-    engine_name: str, loads: tuple, repeats: int, network, cfg
-) -> tuple[float, object]:
-    """Best wall-clock of the uniform sweep on ``network`` (a
-    ``NetworkConfig``) over at least ``repeats`` runs and at least
-    ``_MIN_TIMED_SECONDS`` of timing."""
-    import time
-
+def _run_seconds(clock, engine_name: str, loads: tuple, network, cfg):
+    """Reference seconds per run of the uniform sweep on ``network`` (a
+    ``NetworkConfig``), repeated until ``_MIN_PAIR_SECONDS`` are spent;
+    returns (seconds per run, last result)."""
     from repro.experiments.runner import sweep
     from repro.experiments.workload_spec import WorkloadSpec
 
     builder = WorkloadSpec(pattern="uniform").builder(cfg)
-    best = float("inf")
-    result = None
-    clock = time.perf_counter  # lint-sim: ignore[RPV002] -- harness wall time
     runs = 0
-    spent = 0.0
-    while runs < repeats or spent < _MIN_TIMED_SECONDS:
-        t0 = clock()
+    t0 = clock()
+    while True:
         result = sweep(
             network, builder, cfg, loads=loads, label="bench", engine=engine_name
         )
-        took = clock() - t0
-        best = min(best, took)
-        spent += took
         runs += 1
-    return best, result
+        spent = clock() - t0
+        if spent >= _MIN_PAIR_SECONDS:
+            return spent / runs, result
 
 
 def _time_scenario(
-    loads: tuple, repeats: int, kind: str = "dmin",
+    clock, pairs: int, loads: tuple, kind: str = "dmin",
     measure_packets: int = _MEASURE_PACKETS, router: str = "dor",
     sizes=None,
 ) -> dict:
-    """Time both engines on one N=64 (k=4, n=3) load set; assert they
-    agree."""
+    """Time ``pairs`` reference/fast pairs on one N=64 (k=4, n=3) load
+    set; assert the tiers agree."""
+    from statistics import median
+
     from repro.experiments.config import NetworkConfig
 
     network = NetworkConfig(kind, router=router)
     cfg = _bench_cfg(measure_packets, sizes)
-    ref_s, ref = _sweep_seconds("reference", loads, repeats, network, cfg)
-    fast_s, fast = _sweep_seconds("fast", loads, repeats, network, cfg)
-    assert fast.points == ref.points, (
-        "fast and reference engines disagree -- run tests/differential"
-    )
+    seconds: dict[str, list[float]] = {"reference": [], "fast": []}
+    ratios = []
+    for i in range(pairs):
+        order = ("reference", "fast") if i % 2 == 0 else ("fast", "reference")
+        points = {}
+        for tier in order:
+            took, result = _run_seconds(clock, tier, loads, network, cfg)
+            seconds[tier].append(took)
+            points[tier] = result.points
+        assert points["fast"] == points["reference"], (
+            "fast and reference engines disagree -- run tests/differential"
+        )
+        ratios.append(seconds["reference"][-1] / seconds["fast"][-1])
     return {
-        "reference_seconds": round(ref_s, 3),
-        "fast_seconds": round(fast_s, 3),
-        "fast_over_reference": round(ref_s / fast_s, 3),
+        "reference_seconds": round(median(seconds["reference"]), 3),
+        "fast_seconds": round(median(seconds["fast"]), 3),
+        "fast_over_reference": round(median(ratios), 3),
+        "fast_over_reference_readings": [round(r, 3) for r in ratios],
+        "fast_over_reference_spread": [round(min(ratios), 3), round(max(ratios), 3)],
     }
 
 
-def run_gate(repeats: int = 3) -> dict:
+def _load_refclock():
+    """The benchmark suite's reference clock module, imported as is."""
+    if str(_SUITE) not in sys.path:
+        sys.path.insert(0, str(_SUITE))
+    import refclock
+
+    return refclock
+
+
+def run_gate(pairs: int = MIN_PAIRS) -> dict:
     """Time both engine tiers on every scenario; return the JSON-ready
-    schema-5 record."""
+    schema-6 record."""
+    refclock = _load_refclock()
+    refclock.CLOCK.start(base=refclock.cpu)
+    clock = refclock.clock
+    try:
+        legs = {
+            "sweep": _time_scenario(clock, pairs, SWEEP_LOADS),
+            "streaming": _time_scenario(clock, pairs, STREAMING_LOADS),
+            "vmin_sweep": _time_scenario(
+                clock, pairs, SWEEP_LOADS, "vmin", _VMIN_MEASURE_PACKETS
+            ),
+            "torus_sweep": _time_scenario(
+                clock, pairs, SWEEP_LOADS, "torus3d", _TORUS_MEASURE_PACKETS,
+                router="adaptive", sizes=MessageSizeModel.paper(),
+            ),
+        }
+    finally:
+        refclock.CLOCK.stop()
     return {
-        "schema": 5,
+        "schema": 6,
         "scenario": {
             "network": "dmin",
             "nodes": 64,
@@ -241,22 +283,18 @@ def run_gate(repeats: int = 3) -> dict:
             "torus_sweep_network": "torus3d/adaptive",
             "torus_sweep_message_flits": "uniform 8..1024",
             "torus_sweep_measure_packets": _TORUS_MEASURE_PACKETS,
-            "repeats": repeats,
-            "min_timed_seconds": _MIN_TIMED_SECONDS,
+        },
+        "method": {
+            "pairs": pairs,
+            "clock": "process CPU time on benchmarks/suite/refclock.py",
+            "min_pair_seconds": _MIN_PAIR_SECONDS,
+            "statistic": "median of per-pair fast/reference ratios",
         },
         "gates": {
             "sweep_fast_over_reference_min": GATE_SWEEP_FAST_OVER_REFERENCE,
             "streaming_fast_over_reference_min": GATE_STREAMING_FAST_OVER_REFERENCE,
         },
-        "sweep": _time_scenario(SWEEP_LOADS, repeats),
-        "streaming": _time_scenario(STREAMING_LOADS, repeats),
-        "vmin_sweep": _time_scenario(
-            SWEEP_LOADS, repeats, "vmin", _VMIN_MEASURE_PACKETS
-        ),
-        "torus_sweep": _time_scenario(
-            SWEEP_LOADS, repeats, "torus3d", _TORUS_MEASURE_PACKETS,
-            router="adaptive", sizes=MessageSizeModel.paper(),
-        ),
+        **legs,
     }
 
 
@@ -279,7 +317,6 @@ def _check_absolute_gates(record: dict) -> list[str]:
 def main(argv=None) -> int:
     import argparse
     import json
-    import pathlib
 
     parser = argparse.ArgumentParser(
         description="engine perf gate: reference vs fast on the N=64 sweeps"
@@ -290,7 +327,10 @@ def main(argv=None) -> int:
         help="compare against the committed baseline instead of rewriting it",
     )
     parser.add_argument(
-        "--repeats", type=int, default=3, help="timing repeats (best-of)"
+        "--pairs",
+        type=int,
+        default=MIN_PAIRS,
+        help=f"reference/fast pairs per leg (>= {MIN_PAIRS}, default {MIN_PAIRS})",
     )
     parser.add_argument(
         "--tolerance",
@@ -299,18 +339,22 @@ def main(argv=None) -> int:
         help="allowed fractional ratio regression vs. baseline (default 0.20)",
     )
     args = parser.parse_args(argv)
+    if args.pairs < MIN_PAIRS:
+        parser.error(f"--pairs must be at least {MIN_PAIRS}")
     path = pathlib.Path(__file__).parent / "BENCH_engine.json"
 
-    record = run_gate(repeats=args.repeats)
+    record = run_gate(pairs=args.pairs)
     for name in ("sweep", "streaming", "vmin_sweep", "torus_sweep"):
         row = record[name]
+        lo, hi = row["fast_over_reference_spread"]
         print(
             f"{name:11s}  reference {row['reference_seconds']:6.2f}s   "
             f"fast {row['fast_seconds']:6.2f}s   "
-            f"fast/ref {row['fast_over_reference']:6.2f}x"
+            f"fast/ref {row['fast_over_reference']:6.2f}x "
+            f"(pairs {lo:.2f}..{hi:.2f}x)"
         )
+    failures = _check_absolute_gates(record)
     if not args.check:
-        failures = _check_absolute_gates(record)
         for line in failures:
             print(f"FAIL: {line}")
         if failures:
@@ -320,9 +364,13 @@ def main(argv=None) -> int:
         return 0
 
     baseline = json.loads(path.read_text())
-    failures = _check_absolute_gates(record)
-    if baseline.get("scenario") != record["scenario"]:
-        print("NOTE: benchmark scenario changed; rebaseline before gating")
+    if (baseline.get("schema"), baseline.get("scenario")) != (
+        record["schema"], record["scenario"]
+    ):
+        failures.append(
+            "the baseline was measured on another schema or scenario; "
+            "rebaseline with benchmarks/bench_engine.py"
+        )
     else:
         for scenario, ratio in REGRESSION_GATED:
             base = baseline[scenario][ratio]

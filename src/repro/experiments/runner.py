@@ -40,16 +40,16 @@ def build_point(
     ``engine/<network label>/<key>`` and each layer forks
     ``<layer>/<network label>/<key>`` from the root the same way.
 
-    ``engine`` selects the execution path -- ``"fast"`` pairs the
-    calendar scheduler with the optimized engine phases, span-sleep
-    clock and prefetched allocation stream, ``"reference"`` the plain
-    heap with the reference phases and stdlib draws, and None defers
-    to ``REPRO_ENGINE`` (default fast; ``"batch"`` is an alias of
-    fast).  The choice never changes results (``tests/differential``),
+    ``engine`` selects the execution path -- ``"fast"`` runs the
+    optimized engine phases, span-sleep clock and prefetched allocation
+    stream, ``"reference"`` the reference phases, unit-tick clock and
+    stdlib draws, and None defers to ``REPRO_ENGINE`` (default fast;
+    ``"batch"`` is an alias of fast).  Both tiers share one event
+    queue.  The choice never changes results (``tests/differential``),
     only wall-clock cost.
     """
     kind = resolve_engine(engine)
-    env = Environment(scheduler="heap" if kind == "reference" else "calendar")
+    env = Environment()
     root = RandomStream(run_cfg.seed, name="root")
     sim_engine = WormholeEngine(
         env,

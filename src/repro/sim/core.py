@@ -1,29 +1,12 @@
-"""The simulation environment: clock, event scheduler, and run loop.
+"""The simulation environment: clock, event queue, and run loop.
 
-Two interchangeable schedulers back :class:`Environment`:
-
-``"heap"``
-    The classic single binary heap ordered by ``(time, priority,
-    insertion order)``.  Every push/pop costs O(log n).  This is the
-    reference scheduler: simple, obviously correct, and kept verbatim
-    for differential testing.
-
-``"calendar"`` (default)
-    A calendar-queue hybrid.  Cycle simulations schedule almost every
-    event at an *integral* timestamp (the engine clock ticks once per
-    cycle, idle fast-forwards land on whole cycles).  Those events go
-    into a ring of :data:`RING_SLOTS` buckets -- one bucket per
-    consecutive integral timestamp -- so the dominant unit-delay events
-    are pushed and popped in O(1).  Events with fractional timestamps
-    (e.g. exponential inter-arrival draws) or timestamps outside the
-    ring window fall back to a small binary heap.  :meth:`step` merges
-    the two sources by ``(time, priority, insertion order)``, so the
-    dispatch order is **bit-identical** to the heap scheduler: both
-    orders are the unique total order over the shared insertion
-    counter.
-
-The choice never changes observable simulation behaviour -- only the
-cost of scheduling.  ``tests/differential`` asserts this exhaustively.
+One binary heap ordered by ``(time, priority, insertion order)`` holds
+every scheduled entry: the cycle clock's unit ticks, fractional-time
+arrivals and timers alike.  Push and pop cost O(log n) in the number
+of pending entries, about one per live process or armed timer.  Both
+engine tiers share it; the fast tier's span-sleep clock moves time with
+:meth:`Environment.advance_to` when nothing is due, so most of its
+cycles put no entry on the queue at all.
 """
 
 from __future__ import annotations
@@ -46,16 +29,6 @@ class StopSimulation(Exception):
 
 Infinity = float("inf")
 
-#: Slots in the calendar ring (power of two).  The ring covers one
-#: window of consecutive integral timestamps ``[base, base + RING_SLOTS)``;
-#: anything outside falls back to the heap, so the size is a performance
-#: knob, not a correctness bound.
-RING_SLOTS = 1024
-_RING_MASK = RING_SLOTS - 1
-
-#: Recognised scheduler names (see module docstring).
-SCHEDULERS = ("calendar", "heap")
-
 
 class Environment:
     """Execution environment of a simulation.
@@ -68,32 +41,12 @@ class Environment:
     ----------
     initial_time:
         Starting value of the simulation clock (default 0).
-    scheduler:
-        ``"calendar"`` (default) uses the O(1) bucket ring for integral
-        timestamps with a heap fallback; ``"heap"`` uses only the
-        binary heap.  Event dispatch order is identical either way.
     """
 
-    def __init__(
-        self, initial_time: float = 0.0, scheduler: str = "calendar"
-    ) -> None:
-        if scheduler not in SCHEDULERS:
-            raise ValueError(
-                f"scheduler must be one of {SCHEDULERS}, got {scheduler!r}"
-            )
-        self._initial_time = initial_time
+    def __init__(self, initial_time: float = 0.0) -> None:
         self._now = initial_time
-        self.scheduler = scheduler
-        self._calendar = scheduler == "calendar"
-        #: Heap fallback: ``(time, priority, eid, event)`` tuples.
+        #: The event queue: a heap of ``(time, priority, eid, event)``.
         self._queue: list[tuple[float, int, int, Event]] = []
-        #: Bucket ring: one ``(priority, eid, event)`` heap per integral
-        #: timestamp in the current window (calendar mode only).
-        self._ring: list[list[tuple[int, int, Event]]] = (
-            [[] for _ in range(RING_SLOTS)] if self._calendar else []
-        )
-        self._ring_base = int(initial_time)
-        self._ring_count = 0
         #: Armed timed callbacks awaiting their entry: (eid, time, event).
         self._armed: deque[tuple[int, float, Event]] = deque()
         self._eid = count()
@@ -103,7 +56,7 @@ class Environment:
         self.events_scheduled = 0
         #: Total entries popped and dispatched by :meth:`step`.
         self.events_fired = 0
-        #: High-water mark of the pending-event count (ring + heap).
+        #: High-water mark of the pending-event count.
         self.max_heap_depth = 0
 
     # -- clock and introspection ------------------------------------------
@@ -115,20 +68,13 @@ class Environment:
 
     def peek(self) -> float:
         """Time of the next scheduled event, or ``inf`` if none."""
-        heap_t = self._queue[0][0] if self._queue else Infinity
-        if self._ring_count:
-            ring = self._ring
-            base = self._ring_base
-            while not ring[base & _RING_MASK]:
-                base += 1
-            self._ring_base = base  # skipped slots were empty; safe
-            if base < heap_t:
-                heap_t = float(base)
-        return self._now if self._armed else heap_t
+        if self._armed:
+            return self._now
+        return self._queue[0][0] if self._queue else Infinity
 
     def __len__(self) -> int:
         """Number of scheduled (not yet processed) events."""
-        return self._ring_count + len(self._queue) + len(self._armed)
+        return len(self._queue) + len(self._armed)
 
     def advance_to(self, when: float) -> None:
         """Advance the clock to ``when`` without dispatching an event.
@@ -156,28 +102,11 @@ class Environment:
         self._schedule_at(self._now + delay, priority, event)
 
     def _schedule_at(self, t: float, priority: int, event: Event) -> None:
-        """Push ``event`` at absolute time ``t`` (scheduler-dispatching)."""
+        """Push ``event`` at absolute time ``t``."""
         self.events_scheduled += 1
-        if self._calendar:
-            ti = int(t)
-            if ti == t:
-                base = self._ring_base
-                if self._ring_count == 0 and ti >= base:
-                    # Ring empty: re-anchor the window at this timestamp
-                    # so long idle gaps never force the heap fallback.
-                    self._ring_base = base = ti
-                if base <= ti < base + RING_SLOTS:
-                    heappush(
-                        self._ring[ti & _RING_MASK],
-                        (priority, next(self._eid), event),
-                    )
-                    self._ring_count += 1
-                    depth = self._ring_count + len(self._queue)
-                    if depth > self.max_heap_depth:
-                        self.max_heap_depth = depth
-                    return
-        heappush(self._queue, (t, priority, next(self._eid), event))
-        depth = self._ring_count + len(self._queue)
+        queue = self._queue
+        heappush(queue, (t, priority, next(self._eid), event))
+        depth = len(queue)
         if depth > self.max_heap_depth:
             self.max_heap_depth = depth
 
@@ -201,12 +130,7 @@ class Environment:
     def _arm_due(self) -> None:
         # Only an entry at now that orders before a virtual (now, URGENT,
         # eid) slot holds it back; the NORMAL entries added here never do.
-        heads = [self._queue[0][:3]] if self._queue else [(Infinity,)]
-        if self._ring_count:
-            self.peek()  # moves _ring_base onto the first live slot
-            base = self._ring_base
-            heads.append((base, *self._ring[base & _RING_MASK][0][:2]))
-        gate = min(heads)
+        gate: tuple[float, ...] = self._queue[0][:3] if self._queue else (Infinity,)
         while self._armed and (self._now, PRIORITY_URGENT, self._armed[0][0]) < gate:
             _, when, call = self._armed.popleft()
             self._schedule_at(when, PRIORITY_NORMAL, call)
@@ -257,35 +181,10 @@ class Environment:
         """
         if self._armed:
             self._arm_due()
-        if self._ring_count:
-            ring = self._ring
-            base = self._ring_base
-            slot = ring[base & _RING_MASK]
-            while not slot:
-                base += 1
-                slot = ring[base & _RING_MASK]
-            self._ring_base = base
-            queue = self._queue
-            take_heap = False
-            if queue:
-                head = queue[0]
-                ht = head[0]
-                # Merge by (time, priority, eid): strictly earlier heap
-                # time wins; at equal times the smaller (priority, eid)
-                # pair wins -- exactly the single-heap total order.
-                if ht < base or (ht == base and head[1:3] < slot[0][:2]):
-                    take_heap = True
-            if take_heap:
-                self._now, _, _, event = heappop(queue)
-            else:
-                _, _, event = heappop(slot)
-                self._ring_count -= 1
-                self._now = float(base)
-        else:
-            try:
-                self._now, _, _, event = heappop(self._queue)
-            except IndexError:
-                raise EmptySchedule() from None
+        try:
+            self._now, _, _, event = heappop(self._queue)
+        except IndexError:
+            raise EmptySchedule() from None
         self.events_fired += 1
 
         callbacks, event.callbacks = event.callbacks, None
@@ -343,30 +242,6 @@ class Environment:
                     f"no scheduled events left but {stop!r} was not triggered"
                 ) from None
         return None
-
-    def reset(self) -> None:
-        """Discard pending events; restart the clock and kernel counters.
-
-        After ``reset()`` the environment is indistinguishable from a
-        freshly constructed one (same ``initial_time`` and scheduler):
-        the profiler counters (:attr:`events_scheduled`,
-        :attr:`events_fired`, :attr:`max_heap_depth`) are zeroed so
-        back-to-back simulation points never leak kernel statistics
-        into each other.
-        """
-        self._now = self._initial_time
-        self._queue.clear()
-        if self._ring_count:
-            for slot in self._ring:
-                if slot:
-                    slot.clear()
-        self._ring_base = int(self._initial_time)
-        self._ring_count = 0
-        self._armed.clear()
-        self._eid = count()
-        self.events_scheduled = 0
-        self.events_fired = 0
-        self.max_heap_depth = 0
 
     @staticmethod
     def _stop_callback(event: Event) -> None:

@@ -1,7 +1,7 @@
 """Shared machinery of the engine-tier differential suite.
 
 The optimized engine paths are certified against the straightforward
-reference path ("reference": binary-heap scheduler, full scans) by
+reference path ("reference": one kernel wake per cycle, full scans) by
 running the *same* seeded simulation under every tier and asserting
 the outcomes are bit-identical -- not statistically close: the same
 packets take the same routes on the same cycles, block on the same
@@ -9,8 +9,8 @@ candidate sets, and produce byte-equal delivery records and
 measurement windows.
 
 ``reference`` is the oracle: one kernel wake per cycle, full scans,
-binary-heap scheduler, stdlib draws.  The optimized ``fast`` tier
-(calendar scheduler, active-set allocation, per-worm advance, free-run
+stdlib draws.  Both tiers share the kernel's one event queue.  The
+optimized ``fast`` tier (active-set allocation, per-worm advance, free-run
 ledger, deferred service-order shuffles, span-sleep clock with inline
 ticks, prefetched allocation stream) must match it on every simulation
 observable: measurement window, all engine counters, delivery records,

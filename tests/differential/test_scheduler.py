@@ -1,19 +1,20 @@
-"""Calendar-queue vs binary-heap scheduler: bit-identical dispatch.
+"""The event queue dispatches in ``(time, priority, creation order)``.
 
-The calendar scheduler is the fast path's O(1) event queue for the
-dominant unit-delay clock events, with a heap fallback for fractional
-times; the plain heap is the reference.  Both must dispatch in exactly
-``(time, priority, insertion order)`` order.  Certified two ways: a
-synthetic adversarial schedule (mixed integral/fractional delays,
-priorities, and same-time ties) and full engine runs where only the
-scheduler differs.
+The kernel keeps one binary heap.  Its dispatch order is checked against
+an explicit oracle: every entry is logged with a creation sequence when
+it is scheduled, the pending entries are kept in a plainly sorted list,
+and each dispatch must take that list's head.  Certified on a synthetic
+adversarial schedule (mixed integral/fractional delays, priorities and
+same-time ties) and on full engine runs.
 """
 
 from __future__ import annotations
 
+from bisect import insort
+
 import pytest
 
-from repro.experiments.config import PRESETS, NetworkConfig
+from repro.experiments.config import NetworkConfig
 from repro.experiments.runner import install_workload, measure, warm_up
 from repro.experiments.workload_spec import WorkloadSpec
 from repro.sim.core import Environment
@@ -23,9 +24,37 @@ from repro.wormhole.engine import WormholeEngine
 from tests.differential.harness import CFG
 
 
-def _dispatch_trace(scheduler: str) -> list[tuple[float, int]]:
-    """Drive one adversarial schedule; record (time, tag) dispatch order."""
-    env = Environment(scheduler=scheduler)
+class OracleEnvironment(Environment):
+    """An environment that checks every dispatch against a sorted list.
+
+    Covers entries scheduled through ``_schedule_at``; a ``call_later``
+    timer takes its sequence number when armed, so programs checked
+    here arm none.
+    """
+
+    def __init__(self) -> None:
+        super().__init__()
+        self.pending: list[tuple[float, int, int]] = []
+        self.dispatched = 0
+        self._seq = 0
+
+    def _schedule_at(self, t, priority, event) -> None:
+        key = (t, priority, self._seq)
+        self._seq += 1
+        insort(self.pending, key)
+        # First callback: runs when the kernel dispatches this entry.
+        event.callbacks.insert(0, lambda _e, key=key: self._dispatch(key))
+        super()._schedule_at(t, priority, event)
+
+    def _dispatch(self, key: tuple[float, int, int]) -> None:
+        assert key == self.pending.pop(0), "dispatched out of sorted order"
+        assert self.now == key[0]
+        self.dispatched += 1
+
+
+def test_adversarial_schedule_identity() -> None:
+    """Mixed integral/fractional schedules dispatch in sorted order."""
+    env = OracleEnvironment()
     trace: list[tuple[float, int]] = []
     rng = RandomStream(1234, name="sched")
 
@@ -42,7 +71,7 @@ def _dispatch_trace(scheduler: str) -> list[tuple[float, int]]:
         ]
         env.process(proc(tag, delays), name=f"p{tag}")
     # Urgent vs normal priority ties at the same instant.
-    marks: list[tuple[float, str]] = []
+    marks: list[str] = []
 
     def marker(label: str, priority: int):
         # White-box: pre-succeed the event so a delayed schedule at an
@@ -52,45 +81,41 @@ def _dispatch_trace(scheduler: str) -> list[tuple[float, int]]:
         ev._value = None
         env.schedule(ev, priority=priority, delay=5.0)
         yield ev
-        marks.append((env.now, label))
+        marks.append(label)
 
-    env.process(marker("urgent", PRIORITY_URGENT), name="u")
     env.process(marker("normal", PRIORITY_NORMAL), name="n")
+    env.process(marker("urgent", PRIORITY_URGENT), name="u")
     env.run(until=40.0)
-    trace.extend((t, {"urgent": -1, "normal": -2}[l]) for t, l in marks)
-    return trace
-
-
-def test_adversarial_schedule_identity() -> None:
-    """Same dispatch order for mixed integral/fractional schedules."""
-    assert _dispatch_trace("calendar") == _dispatch_trace("heap")
+    assert env.dispatched == env.events_fired > 600
+    assert marks == ["urgent", "normal"]
+    assert trace == sorted(trace, key=lambda entry: entry[0])
 
 
 def test_urgent_priority_orders_before_normal() -> None:
     """At equal times, urgent events dispatch before normal ones."""
-    for scheduler in ("calendar", "heap"):
-        env = Environment(scheduler=scheduler)
-        order: list[str] = []
+    env = Environment()
+    order: list[str] = []
 
-        def waiter(label: str, priority: int):
-            ev = env.event()
-            ev._ok = True
-            ev._value = None
-            env.schedule(ev, priority=priority, delay=3.0)
-            yield ev
-            order.append(label)
+    def waiter(label: str, priority: int):
+        ev = env.event()
+        ev._ok = True
+        ev._value = None
+        env.schedule(ev, priority=priority, delay=3.0)
+        yield ev
+        order.append(label)
 
-        env.process(waiter("normal", PRIORITY_NORMAL), name="n")
-        env.process(waiter("urgent", PRIORITY_URGENT), name="u")
-        env.run(until=10.0)
-        assert order == ["urgent", "normal"], scheduler
+    env.process(waiter("normal", PRIORITY_NORMAL), name="n")
+    env.process(waiter("urgent", PRIORITY_URGENT), name="u")
+    env.run(until=10.0)
+    assert order == ["urgent", "normal"]
 
 
-def _engine_run(kind: str, scheduler: str):
-    """One seeded fast-engine point where only the scheduler differs."""
+@pytest.mark.parametrize("kind", ("tmin", "dmin", "vmin", "bmin"))
+def test_engine_run_scheduler_identity(kind: str) -> None:
+    """A seeded fast-engine point dispatches every entry in sorted order."""
     network = NetworkConfig(kind)
     load = 0.6
-    env = Environment(scheduler=scheduler)
+    env = OracleEnvironment()
     root = RandomStream(CFG.seed, name="root")
     engine = WormholeEngine(
         env,
@@ -106,18 +131,5 @@ def _engine_run(kind: str, scheduler: str):
     )
     warm_up(engine, CFG)
     measure(engine, CFG)
-    stats = engine.stats
-    return (
-        tuple(stats.records),
-        stats.offered_packets,
-        stats.delivered_packets,
-        engine.cycles_run,
-        env.now,
-        env.events_fired,
-    )
-
-
-@pytest.mark.parametrize("kind", ("tmin", "dmin", "vmin", "bmin"))
-def test_engine_run_scheduler_identity(kind: str) -> None:
-    """Full engine runs differ only in the scheduler: same outcome."""
-    assert _engine_run(kind, "calendar") == _engine_run(kind, "heap")
+    assert engine.stats.delivered_packets > 0
+    assert env.dispatched == env.events_fired > 0

@@ -11,9 +11,10 @@ Every one of those mechanisms claims path-independence:
 * all bus callbacks do bookkeeping and arm timed callbacks
   (``Environment.call_later``), so no nested ``offer`` can reorder
   engine work within a cycle;
-* timer staleness is token-based, not time-compared, so the calendar
-  and heap schedulers' different event orders at equal timestamps
-  cannot change which retransmissions fire.
+* timer staleness is token-based, not time-compared, so the tiers'
+  different kernel event populations (the fast tier's span-sleep clock
+  skips wake events that the reference dispatches) cannot change which
+  retransmissions fire.
 
 These tests storm every network (hard MTBF-style fault plan + loss at
 the admission door where configured) and assert the complete

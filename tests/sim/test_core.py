@@ -326,52 +326,3 @@ def test_repr_smoke():
     assert "worker" in repr(p)
     env.run()
     assert "processed" in repr(ev)
-
-
-@pytest.mark.parametrize("scheduler", ["calendar", "heap"])
-def test_reset_restores_fresh_kernel(scheduler):
-    """reset() zeroes the profiler counters and empties the schedule.
-
-    Regression: back-to-back simulation points reusing one Environment
-    must not leak ``events_scheduled`` / ``events_fired`` /
-    ``max_heap_depth`` from the previous point into the next kernel
-    profile.
-    """
-    env = Environment(initial_time=5.0, scheduler=scheduler)
-
-    def ticker():
-        for _ in range(4):
-            yield env.timeout(1.5)  # fractional: exercises the heap too
-
-    env.process(ticker())
-    env.process(ticker())
-    env.run()
-    assert env.events_scheduled > 0
-    assert env.events_fired > 0
-    assert env.max_heap_depth > 0
-    assert env.now > 5.0
-
-    env.reset()
-    assert env.now == 5.0
-    assert env.events_scheduled == 0
-    assert env.events_fired == 0
-    assert env.max_heap_depth == 0
-    assert env.peek() == float("inf")
-
-    # The reset kernel must behave exactly like a fresh one.
-    fresh = Environment(initial_time=5.0, scheduler=scheduler)
-    log = {}
-    for name, e in (("reset", env), ("fresh", fresh)):
-        order = []
-
-        def proc(tag, e=e, order=order):
-            yield e.timeout(1.0)
-            order.append((e.now, tag))
-            yield e.timeout(0.25)
-            order.append((e.now, tag))
-
-        e.process(proc("a"))
-        e.process(proc("b"))
-        e.run()
-        log[name] = (order, e.events_scheduled, e.events_fired, e.now)
-    assert log["reset"] == log["fresh"]

@@ -38,9 +38,7 @@ CFG = TransportConfig(
 def run_storm(kind: str, engine: str = "fast", seed: int = 17):
     """One seeded storm; returns (transport, engine, watchdog, workload)."""
     network = NetworkConfig(kind, k=2, n=3)
-    env = Environment(
-        scheduler="heap" if engine == "reference" else "calendar"
-    )
+    env = Environment()
     root = RandomStream(seed, name="root")
     eng = WormholeEngine(
         env,
