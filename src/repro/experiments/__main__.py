@@ -311,6 +311,8 @@ def main(argv: list[str] | None = None) -> int:
         code = _run_replay(args, run_cfg)
         if not more_work:
             return code
+        if code:
+            failures += 1
         print()
 
     if args.availability:

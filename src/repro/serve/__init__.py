@@ -19,9 +19,9 @@ Layers (each importable on its own):
 * :mod:`repro.serve.job` -- :class:`PointSpec` / :class:`JobSpec` /
   :class:`JobManifest` records and their (de)serialization;
 * :mod:`repro.serve.supervisor` -- heartbeat-supervised worker pool
-  with retry/backoff, poison-point quarantine and hedged re-dispatch;
-* :mod:`repro.serve.service` -- the asyncio job service tying it all
-  together (``python -m repro.serve`` is the CLI front).
+  with retry/backoff and poison-point quarantine;
+* :mod:`repro.serve.service` -- the synchronous job service tying it
+  all together (``python -m repro.serve`` is the CLI front).
 """
 
 from repro.serve.cache import CacheStats, ResultCache, open_cache

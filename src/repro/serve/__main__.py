@@ -79,8 +79,7 @@ def _render_summary(manifest: JobManifest, elapsed_note: str = "") -> str:
         lines.append(
             f"workers   {sup.get('retries', 0)} retries, "
             f"{sup.get('worker_deaths', 0)} deaths, "
-            f"{sup.get('stall_kills', 0)} stall kills, "
-            f"{sup.get('hedges', 0)} hedges"
+            f"{sup.get('stall_kills', 0)} stall kills"
         )
     cache = manifest.cache
     lines.append(
@@ -142,10 +141,6 @@ def main(argv: list[str] | None = None) -> int:
         help="stale-heartbeat kill threshold, seconds (default: 60)",
     )
     parser.add_argument(
-        "--hedge-after", type=float, default=None,
-        help="straggler hedged re-dispatch threshold, seconds",
-    )
-    parser.add_argument(
         "--csv", metavar="OUT.csv",
         help="also export the served measurements as long-form CSV",
     )
@@ -158,21 +153,21 @@ def main(argv: list[str] | None = None) -> int:
     )
     args = parser.parse_args(argv)
 
-    if args.workers < 1:
-        parser.error("--workers must be at least 1")
     try:
         spec = _build_spec(args)
     except (KeyError, OSError, TypeError, ValueError) as exc:
         parser.error(f"bad job spec: {exc}")
     cache_root = Path(args.cache)
     job_dir = Path(args.job_dir) if args.job_dir else cache_root / "jobs"
-    policy = SupervisePolicy(
-        workers=args.workers,
-        retry=DEFAULT_RETRY,
-        point_timeout=args.point_timeout,
-        stall_after=args.stall_after,
-        hedge_after=args.hedge_after,
-    )
+    try:
+        policy = SupervisePolicy(
+            workers=args.workers,
+            retry=DEFAULT_RETRY,
+            point_timeout=args.point_timeout,
+            stall_after=args.stall_after,
+        )
+    except ValueError as exc:
+        parser.error(f"bad supervisor policy: {exc}")
     service = SweepService(
         cache=cache_root,
         policy=policy,

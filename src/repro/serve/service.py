@@ -1,4 +1,4 @@
-"""The asyncio sweep-job service.
+"""The sweep-job service.
 
 A :class:`SweepService` owns one :class:`~repro.serve.cache.ResultCache`
 and serves :class:`~repro.serve.job.JobSpec` requests:
@@ -25,27 +25,22 @@ separate journal to replay -- the content-addressed cache *is* the
 checkpoint, for jobs and for :mod:`repro.experiments.parallel` sweeps
 alike.
 
-Async usage::
+Usage::
 
-    service = SweepService("cache/")
-    manifest = await service.run_job(spec)          # one job
-    handle = await service.submit(spec)             # queued job
-    manifest = await service.wait(handle.job_id)
+    service = SweepService("cache/", job_root=Path("jobs/"))
+    manifest = service.run_job_sync(spec)   # blocks until the job settles
 
-Sync usage (the CLI)::
-
-    manifest = SweepService("cache/").run_job_sync(spec)
+:meth:`SweepService.request_stop` (signal-handler safe) winds a running
+job down; the manifest it returns lists the unfinished points.
 """
 
 from __future__ import annotations
 
-import asyncio
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable, Optional, Union
 
-from repro.obs.progress import ProgressMeter
 from repro.serve.cache import ResultCache
 from repro.serve.compute import run_point_spec
 from repro.serve.job import JobManifest, JobSpec, PointSpec, summarize_points
@@ -57,14 +52,6 @@ from repro.serve.supervisor import (
 
 
 @dataclass
-class JobHandle:
-    """A submitted job: its id and the asyncio task computing it."""
-
-    job_id: str
-    task: "asyncio.Task[JobManifest]"
-
-
-@dataclass
 class SweepService:
     """Deduplicating, cache-backed, crash-tolerant sweep serving."""
 
@@ -73,7 +60,6 @@ class SweepService:
     job_root: Optional[Path] = None       # manifests land here if set
     runner: Callable = run_point_spec     # picklable point executor
     progress: Optional[Callable[[int, int, str], None]] = None
-    _jobs: dict = field(default_factory=dict, repr=False)
     _supervisor: Optional[WorkerSupervisor] = field(default=None, repr=False)
     _stop: bool = field(default=False, repr=False)
 
@@ -97,28 +83,10 @@ class SweepService:
         if sup is not None:
             sup.request_stop()
 
-    # ---------------------------------------------------------- async API
-
-    async def run_job(self, spec: JobSpec) -> JobManifest:
-        """Serve one job to completion (or graceful degradation)."""
-        return await asyncio.to_thread(self.run_job_sync, spec)
-
-    async def submit(self, spec: JobSpec) -> JobHandle:
-        """Queue a job; returns immediately with its handle."""
-        handle = JobHandle(
-            job_id=spec.job_id,
-            task=asyncio.create_task(self.run_job(spec)),
-        )
-        self._jobs[handle.job_id] = handle
-        return handle
-
-    async def wait(self, job_id: str) -> JobManifest:
-        """Await a submitted job's manifest."""
-        return await self._jobs[job_id].task
-
-    # ----------------------------------------------------------- sync core
+    # ----------------------------------------------------------------- run
 
     def run_job_sync(self, spec: JobSpec) -> JobManifest:
+        """Serve one job to completion (or graceful degradation)."""
         t0 = time.monotonic()  # lint-sim: ignore[RPV002] -- harness timing, not sim state
         points = spec.points()
 
@@ -208,8 +176,3 @@ class SweepService:
         if self.job_root is None:
             raise ValueError("service has no job_root configured")
         return self.job_root / f"{spec.job_id}.manifest.json"
-
-
-def default_progress() -> ProgressMeter:
-    """A stderr heartbeat prefixed for the service."""
-    return ProgressMeter(prefix="serve")

@@ -1,4 +1,4 @@
-"""Supervised worker pool: liveness, retry, quarantine, hedging.
+"""Supervised worker pool: liveness, retry, quarantine.
 
 ``concurrent.futures`` cannot express the failure policy the sweep
 service needs (a SIGKILLed worker poisons a ``ProcessPoolExecutor``
@@ -22,18 +22,17 @@ workers directly:
   ``retry.max_attempts`` times settles as ``failed`` instead of
   wedging the job: the service reports it in the manifest's
   ``incomplete`` list (graceful degradation, not job failure);
-* **straggler hedging** -- a point in flight longer than
-  ``hedge_after`` is dispatched a second time on another worker; the
-  first result wins (results are deterministic, so the twin's answer
-  is identical and simply discarded);
 * **cooperative deadlines** -- ``point_timeout`` arms the PR 5
   monotonic per-point deadline inside each worker, converting runaway
   points into ordinary retryable errors.
 
-The supervisor is synchronous (the asyncio service drives it from a
-thread); :meth:`WorkerSupervisor.request_stop` is thread- and
-signal-safe and turns the remaining points into ``interrupted``
-outcomes, which a resumed job recomputes.
+A point is never dispatched again while a worker runs it: it is a
+pure function of its spec, so a second copy could only repeat the same
+work.  The supervisor is synchronous (the service calls it from
+:meth:`~repro.serve.service.SweepService.run_job_sync`);
+:meth:`WorkerSupervisor.request_stop` is thread- and signal-safe and
+turns the remaining points into ``interrupted`` outcomes, which a
+resumed job recomputes.
 """
 
 from __future__ import annotations
@@ -59,9 +58,7 @@ DEFAULT_RETRY = RetryPolicy(
 )
 
 #: Outcome events the ``on_event`` callback can receive.
-EVENT_KINDS = (
-    "dispatch", "retry", "poison", "worker_death", "stall_kill", "hedge",
-)
+EVENT_KINDS = ("dispatch", "retry", "poison", "worker_death", "stall_kill")
 
 
 @dataclass(frozen=True)
@@ -72,17 +69,15 @@ class SupervisePolicy:
     retry: RetryPolicy = DEFAULT_RETRY
     point_timeout: Optional[float] = None   # cooperative deadline, seconds
     stall_after: float = 60.0               # stale-heartbeat kill threshold
-    hedge_after: Optional[float] = None     # straggler duplicate dispatch
     poll_interval: float = 0.05
-    start_method: Optional[str] = None      # None -> fork where available
 
     def __post_init__(self) -> None:
         if self.workers < 1:
             raise ValueError("need at least one worker")
         if self.stall_after <= 0:
             raise ValueError("stall_after must be positive")
-        if self.hedge_after is not None and self.hedge_after <= 0:
-            raise ValueError("hedge_after must be positive")
+        if self.point_timeout is not None and self.point_timeout <= 0:
+            raise ValueError("point_timeout must be positive")
 
 
 @dataclass
@@ -108,7 +103,6 @@ class SupervisorReport:
     retries: int = 0
     worker_deaths: int = 0
     stall_kills: int = 0
-    hedges: int = 0
     elapsed_s: float = 0.0
     interrupted: bool = False
 
@@ -133,7 +127,6 @@ class SupervisorReport:
             "retries": self.retries,
             "worker_deaths": self.worker_deaths,
             "stall_kills": self.stall_kills,
-            "hedges": self.hedges,
             "interrupted": self.interrupted,
         }
 
@@ -189,7 +182,6 @@ class _Worker:
     proc: multiprocessing.Process
     results: Connection              # read end of the worker's pipe
     current: Optional[str] = None    # key in flight on this worker
-    started: float = 0.0             # dispatch instant of `current`
 
 
 class WorkerSupervisor:
@@ -240,17 +232,13 @@ class WorkerSupervisor:
             return report
 
         policy = self.policy
-        method = policy.start_method or (
-            "fork"
-            if "fork" in multiprocessing.get_all_start_methods()
-            else "spawn"
-        )
-        ctx = multiprocessing.get_context(method)
+        try:
+            ctx = multiprocessing.get_context("fork")
+        except ValueError:  # no fork on this platform
+            ctx = multiprocessing.get_context("spawn")
         task_q = ctx.Queue()
-        # A short job forks no idle workers: one per task at most, or
-        # two when hedging, whose twin needs a free worker.
-        per_task = 1 if policy.hedge_after is None else 2
-        n_workers = min(policy.workers, per_task * len(tasks_by_key))
+        # A short job forks no idle workers: one per task at most.
+        n_workers = min(policy.workers, len(tasks_by_key))
         beats = ctx.RawArray("d", n_workers)
         # The parent never touches the raw array directly (RPV009):
         # slot accessors keep the liveness protocol -- never-beaten
@@ -281,8 +269,6 @@ class WorkerSupervisor:
 
         unsettled = set(tasks_by_key)
         attempts: dict[str, int] = {k: 0 for k in tasks_by_key}
-        hedged: set[str] = set()
-        inflight: dict[str, set[int]] = {k: set() for k in tasks_by_key}
         #: (ready_time, serial, key) -- scheduled (re)dispatches.
         ready: list[tuple[float, int, str]] = []
         serial = 0
@@ -304,7 +290,7 @@ class WorkerSupervisor:
                 self.on_result(outcome.key, outcome)
 
         def record_failure(key: str, error: str) -> None:
-            """One attempt failed: retry, wait for a hedge twin, or poison."""
+            """One attempt failed: retry, or poison the point."""
             if key not in unsettled:
                 return
             if attempts[key] < policy.retry.max_attempts:
@@ -312,13 +298,11 @@ class WorkerSupervisor:
                 report.retries += 1
                 self._event("retry", key=key, attempt=attempts[key], error=error)
                 schedule(key, delay)
-            elif not inflight[key]:
+            else:
                 self._event("poison", key=key, error=error)
                 settle(PointOutcome(
                     key, "failed", error=error, attempts=attempts[key],
                 ))
-            # else: attempts exhausted but a hedge twin is still running;
-            # its result (or failure) settles the point.
 
         def kill_worker(w: _Worker) -> None:
             w.proc.terminate()
@@ -361,16 +345,12 @@ class WorkerSupervisor:
                         pass  # the worker died; the liveness sweep respawns it
                 for w, msg in messages:
                     kind, key = msg[0], msg[1]
-                    wid = w.index
                     if kind == "start":
                         queued = max(0, queued - 1)
                         w.current = key
-                        w.started = time.monotonic()  # lint-sim: ignore[RPV002] -- harness scheduling, not sim state
-                        inflight.setdefault(key, set()).add(wid)
                     elif kind == "done":
                         if w.current == key:
                             w.current = None
-                        inflight[key].discard(wid)
                         if key in unsettled:
                             settle(PointOutcome(
                                 key, "ok", payload=msg[2],
@@ -379,12 +359,11 @@ class WorkerSupervisor:
                     elif kind == "error":
                         if w.current == key:
                             w.current = None
-                        inflight[key].discard(wid)
                         record_failure(key, msg[2])
                 if messages:
                     last_progress = time.monotonic()  # lint-sim: ignore[RPV002] -- harness scheduling, not sim state
 
-                # Liveness sweep: deaths, wedges, stragglers.
+                # Liveness sweep: deaths and wedges.
                 now = time.monotonic()  # lint-sim: ignore[RPV002] -- harness scheduling, not sim state
                 for w in workers:
                     if not w.proc.is_alive():
@@ -397,7 +376,6 @@ class WorkerSupervisor:
                         )
                         workers[w.index] = respawn(w)
                         if key is not None:
-                            inflight[key].discard(w.index)
                             record_failure(
                                 key,
                                 f"worker died (exitcode {exitcode})",
@@ -417,24 +395,11 @@ class WorkerSupervisor:
                         )
                         kill_worker(w)
                         workers[w.index] = respawn(w)
-                        inflight[key].discard(w.index)
                         record_failure(
                             key,
                             f"worker wedged (no heartbeat for {beat_age:.1f}s)",
                         )
                         last_progress = now
-                    elif (
-                        policy.hedge_after is not None
-                        and key in unsettled
-                        and key not in hedged
-                        and now - w.started > policy.hedge_after
-                    ):
-                        # Straggler: dispatch a twin; first result wins.
-                        hedged.add(key)
-                        report.hedges += 1
-                        task_q.put((key, tasks_by_key[key]))
-                        queued += 1
-                        self._event("hedge", key=key)
 
                 # Orphan sweep: a worker died between task_q.get() and
                 # its "start" message, silently swallowing a dispatch.
@@ -448,8 +413,7 @@ class WorkerSupervisor:
                     and unsettled
                 ):
                     for key in unsettled:
-                        if not inflight[key]:
-                            schedule(key)
+                        schedule(key)
                     queued = 0
                     last_progress = now
         finally:
@@ -464,7 +428,7 @@ class WorkerSupervisor:
                     )
             # Wind the pool down without letting a hung worker wedge us.
             # Every task is settled by now, so a worker still busy is
-            # computing a stale answer (hedge twin, interrupted point):
+            # computing a stale answer (an interrupted point):
             # kill it outright instead of waiting out the join deadline.
             # Split idle from busy before any sentinel goes out: an idle
             # worker may take any sentinel and exit at once, so checking

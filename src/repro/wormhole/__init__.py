@@ -10,8 +10,10 @@ The simulator reproduces the paper's hardware model exactly:
   the paper's units, i.e. one cycle = 0.05 us);
 * switches act asynchronously (header allocation happens in random
   order each cycle) but worms advance in lockstep (flit movement is
-  processed downstream-first so a full pipeline moves one flit per
-  channel per cycle);
+  processed in the network's channel order, downstream-first on the
+  MINs, so a full pipeline moves one flit per channel per cycle; the
+  direct fabrics' order is not downstream-first along a route, see
+  ``docs/topologies.md``);
 * virtual channels multiplex a wire flit-by-flit, round-robin over the
   *active* VCs, so k active VCs each get W/k bandwidth (Section 2.2);
 * one-port nodes: serial FCFS injection, immediate consumption.

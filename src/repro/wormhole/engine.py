@@ -11,11 +11,15 @@ Each simulation cycle (= the time to move one flit across one channel;
   deterministic turnaround & backward channel (BMIN).  Nodes whose FCFS
   queue is non-empty start injecting when their injection channel
   frees.
-* **Phase B (advance)** -- every busy physical channel, processed
-  downstream-first, transmits at most one flit (round-robin over its
-  ready lanes, so active virtual channels share the wire's bandwidth
-  equally).  A full pipeline thus moves every flit of a worm one hop
-  per cycle -- the paper's synchronized worm transmission.
+* **Phase B (advance)** -- every busy physical channel, processed in
+  the network's ``topo_channels`` order, transmits at most one flit
+  (round-robin over its ready lanes, so active virtual channels share
+  the wire's bandwidth equally).  On the four MINs that order is
+  downstream-first, so a full pipeline moves every flit of a worm one
+  hop per cycle -- the paper's synchronized worm transmission.  The
+  direct mesh/torus order (delivery channels, then fabric lanes by
+  descending dimension and ascending source node, injection last) is
+  not downstream-first along a route; see ``docs/topologies.md``.
 
 The engine runs inside a :class:`repro.sim.Environment`: a clock process
 steps cycles, fast-forwarding across idle gaps, while workload processes
@@ -203,14 +207,12 @@ class WormholeEngine:
         env: Environment,
         network: SimNetwork,
         rng: Optional[RandomStream] = None,
-        record_deliveries: bool = True,
         sanitize: Optional[bool] = None,
         engine: Optional[str] = None,
     ) -> None:
         self.env = env
         self.network = network
         self.rng = rng if rng is not None else RandomStream(0, name="engine")
-        self.record_deliveries = record_deliveries
         self.stats = EngineStats()
         #: The engine tier (one of :data:`ENGINE_KINDS`; None defers to
         #: ``REPRO_ENGINE``).  ``fast`` runs the optimized per-cycle
@@ -1457,19 +1459,18 @@ class WormholeEngine:
         self.stats.delivered_flits += p.length
         if self.bus.enabled:
             self.bus.publish_deliver(self.env.now, p)
-        if self.record_deliveries:
-            assert p.inject_start is not None
-            self.stats.records.append(
-                DeliveryRecord(
-                    p.pid,
-                    p.src,
-                    p.dst,
-                    p.length,
-                    p.created,
-                    p.inject_start,
-                    p.delivered_at,
-                )
+        assert p.inject_start is not None
+        self.stats.records.append(
+            DeliveryRecord(
+                p.pid,
+                p.src,
+                p.dst,
+                p.length,
+                p.created,
+                p.inject_start,
+                p.delivered_at,
             )
+        )
 
     # -- clock process -----------------------------------------------------------
 

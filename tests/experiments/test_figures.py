@@ -121,6 +121,18 @@ def test_cli_smoke(capsys):
     assert rc in (0, 1)
 
 
+def test_cli_failed_replay_fails_a_combined_run(monkeypatch, capsys):
+    """A replay that reports FAIL fails the whole call, even when a
+    figure runs after it."""
+    from repro.experiments import __main__ as cli
+
+    monkeypatch.setattr(cli, "_run_replay", lambda args, run_cfg: 1)
+    monkeypatch.setattr(cli, "shape_checks", lambda fig: [])
+    rc = cli.main(["--replay", "x", "--figure", "fig16", "--mode", "smoke"])
+    assert "fig16" in capsys.readouterr().out
+    assert rc == 1
+
+
 def test_cli_requires_target(capsys):
     from repro.experiments.__main__ import main
 

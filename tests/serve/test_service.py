@@ -5,9 +5,9 @@ quarantined and recomputed without failing the job, and a re-submitted
 spec is served wholly from the cache.
 """
 
-import asyncio
 import dataclasses
 import json
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -191,23 +191,6 @@ def test_stop_before_run_leaves_points_pending(tmp_path):
     assert {p["status"] for p in manifest.points} == {"pending"}
 
 
-# ------------------------------------------------------------- async API
-
-
-def test_async_submit_and_wait(tmp_path):
-    spec = _tiny_spec(loads=(0.2,))
-    _service(tmp_path).run_job_sync(spec)       # pre-warm the cache
-
-    async def drive():
-        service = _service(tmp_path)
-        handle = await service.submit(spec)
-        assert handle.job_id == spec.job_id
-        return await service.wait(handle.job_id)
-
-    manifest = asyncio.run(drive())
-    assert manifest.complete and manifest.counts["cached"] == 2
-
-
 # ------------------------------------------------------------ fault grid
 
 
@@ -339,6 +322,35 @@ def test_cli_rejects_malformed_spec_before_dispatch(tmp_path):
     assert result.returncode == 2
     assert "bad job spec" in result.stderr
     assert not (tmp_path / "cache").exists()
+
+
+@pytest.mark.parametrize("flag", ["--stall-after", "--point-timeout"])
+def test_cli_rejects_nonpositive_timeouts(tmp_path, flag):
+    """A zero timeout is a usage error (exit 2) before any worker runs."""
+    result = _run_cli(
+        ["--cache", str(tmp_path / "cache"), "--networks", "dmin",
+         "--loads", "0.2", "--mode", "smoke", "--quiet", flag, "0"],
+        tmp_path,
+    )
+    assert result.returncode == 2, result.stdout + result.stderr
+    assert "bad supervisor policy" in result.stderr
+    assert not (tmp_path / "cache").exists()
+
+
+def test_serve_imports_no_asyncio():
+    """The service and the worker-side compute module load no asyncio
+    (a fresh process proves it): every worker and CLI start pays for
+    each module the closure pulls in."""
+    code = (
+        "import sys\n"
+        "import repro.serve, repro.serve.compute\n"
+        "assert 'asyncio' not in sys.modules, 'repro.serve imported asyncio'\n"
+    )
+    env = dict(os.environ, PYTHONPATH=str(Path.cwd() / "src"))
+    proc = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True
+    )
+    assert proc.returncode == 0, proc.stderr
 
 
 def test_spec_rejects_non_list_networks():

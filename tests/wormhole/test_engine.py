@@ -248,15 +248,6 @@ def test_offer_wakes_sleeping_clock(make_engine):
     assert eng.stats.delivered_packets == first_done + 1
 
 
-def test_record_deliveries_toggle(make_engine):
-    env, eng = make_engine("tmin", k=2, n=3)
-    eng.record_deliveries = False
-    eng.offer(0, 5, 10)
-    eng.drain()
-    assert eng.stats.delivered_packets == 1
-    assert eng.stats.records == []
-
-
 def test_in_flight_and_queue_length(make_engine):
     env, eng = make_engine("tmin", k=2, n=3)
     eng.offer(0, 5, 100)
