@@ -13,7 +13,8 @@ ROADMAP's "as fast as the hardware allows" push needs: events/s,
 cycles/s, and **wall-microseconds per simulated microsecond** (the
 slowdown factor vs. the modelled hardware).  It also reports how many
 cycles the engine's span-sleep clock credited without executing them
-(``cycles_skipped``, ``span_skip_ratio``).
+(``cycles_skipped``, ``span_skip_ratio``) and how often its channel
+sweep parked a blocked worm (``worms_parked``).
 
 This is measurement of the *simulator*, not the simulated network --
 the wall-clock reads are confined to this module and are exempt from
@@ -48,12 +49,14 @@ class KernelProfiler:
         self._t0_fired = 0
         self._t0_cycles = 0
         self._t0_skipped = 0
+        self._t0_parked = 0
         self._wall: Optional[float] = None
         self._sim: Optional[float] = None
         self._scheduled: Optional[int] = None
         self._fired: Optional[int] = None
         self._cycles: Optional[int] = None
         self._skipped: Optional[int] = None
+        self._parked: Optional[int] = None
 
     # -- lifecycle ---------------------------------------------------------
 
@@ -67,6 +70,7 @@ class KernelProfiler:
         self._t0_fired = env.events_fired
         self._t0_cycles = engine.cycles_run
         self._t0_skipped = engine.cycles_skipped
+        self._t0_parked = engine.worms_parked
         return self
 
     def finish(self) -> "KernelProfiler":
@@ -81,6 +85,7 @@ class KernelProfiler:
         self._fired = env.events_fired - self._t0_fired
         self._cycles = self.engine.cycles_run - self._t0_cycles
         self._skipped = self.engine.cycles_skipped - self._t0_skipped
+        self._parked = self.engine.worms_parked - self._t0_parked
         return self
 
     # -- live reads (finish() freezes them) --------------------------------
@@ -128,6 +133,14 @@ class KernelProfiler:
         return self.engine.cycles_skipped - self._t0_skipped
 
     @property
+    def worms_parked(self) -> int:
+        """Blocked worms the channel sweep took off its active list."""
+        if self._parked is not None:
+            return self._parked
+        assert self.engine is not None
+        return self.engine.worms_parked - self._t0_parked
+
+    @property
     def max_heap_depth(self) -> int:
         """High-water mark of the event heap (whole run, not a delta)."""
         assert self.engine is not None
@@ -170,6 +183,7 @@ class KernelProfiler:
             "sim_cycles": self.cycles_run,
             "cycles_skipped": self.cycles_skipped,
             "span_skip_ratio": self.span_skip_ratio,
+            "worms_parked": self.worms_parked,
             "sim_microseconds": self.sim_microseconds,
             "events_scheduled": self.events_scheduled,
             "events_fired": self.events_fired,
@@ -187,6 +201,7 @@ class KernelProfiler:
             f"({self.cycles_run} cycles)\n"
             f"  cycles skipped     {self.cycles_skipped:12d} "
             f"({self.span_skip_ratio:.1%} span sleep)\n"
+            f"  worms parked       {self.worms_parked:12d}\n"
             f"  events scheduled   {self.events_scheduled:12d}\n"
             f"  events fired       {self.events_fired:12d} "
             f"({self.events_per_second:,.0f}/s)\n"

@@ -202,11 +202,21 @@ def main(argv: list[str] | None = None) -> int:
         write_manifest_csv(manifest, service.cache, args.csv)
         print(f"(manifest CSV written to {args.csv})", file=sys.stderr)
 
-    if args.json:
-        print(json.dumps(manifest.to_dict(), indent=2))
-    else:
-        print(_render_summary(manifest))
-        print(f"(manifest: {service.manifest_path(spec)})")
+    try:
+        if args.json:
+            print(json.dumps(manifest.to_dict(), indent=2))
+        else:
+            print(_render_summary(manifest))
+            print(f"(manifest: {service.manifest_path(spec)})")
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # The reader closed stdout early (``... | head``).  The job is
+        # settled and its manifest written, so the exit code still
+        # reports it; stdout goes to devnull so the interpreter's exit
+        # flush cannot raise again.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
     return 0 if manifest.complete else 3
 
 

@@ -28,19 +28,22 @@ if TYPE_CHECKING:  # pragma: no cover
 
 
 class FaultEpoch:
-    """Fault-state version of one network, shared by all its channels.
+    """Fault-state change log of one network, shared by all its channels.
 
-    Every :meth:`PhysChannel.fail` / :meth:`PhysChannel.repair` bumps
-    ``value``.  The engine's fast path stamps its cached blocked-header
-    routing decisions with it, so any fault-state change in the network
-    invalidates every cache (conservative but O(1); faults are rare
-    events).  Consumers only compare two reads for inequality.
+    While a fast engine drains it, every :meth:`PhysChannel.fail` /
+    :meth:`PhysChannel.repair` appends the channel to ``flips``.  The
+    fast engine's Phase A empties that log each cycle and invalidates
+    per channel: it wakes only the blocked headers that list a flipped
+    channel among their candidates, and re-arms only the node whose
+    injection channel flipped.  ``flips`` stays None on bare networks
+    and under the reference tier (which reads ``faulty`` live), so
+    nothing grows it there.
     """
 
-    __slots__ = ("value",)
+    __slots__ = ("flips",)
 
     def __init__(self) -> None:
-        self.value = 0
+        self.flips: Optional[list["PhysChannel"]] = None
 
 
 class Lane:
@@ -155,8 +158,9 @@ class PhysChannel:
         #: exactly once per cycle on both engine paths; an idle wire
         #: has nothing to rest from).
         self.cooldown = 0
-        #: Bumped by :meth:`fail` / :meth:`repair`; a network shares one
-        #: across its channels (``SimNetwork.fault_epoch``).
+        #: Logs :meth:`fail` / :meth:`repair` for a fast engine; a
+        #: network shares one across its channels
+        #: (``SimNetwork.fault_epoch``).
         self.fault_epoch = FaultEpoch()
         #: Optional ``observer(lane)`` called just before a lane frees.
         #: Installed by the opt-in runtime sanitizer
@@ -177,12 +181,17 @@ class PhysChannel:
         :meth:`owners`.
         """
         self.faulty = True
-        self.fault_epoch.value += 1
+        self._flipped()
 
     def repair(self) -> None:
         """Clear an injected fault."""
         self.faulty = False
-        self.fault_epoch.value += 1
+        self._flipped()
+
+    def _flipped(self) -> None:
+        flips = self.fault_epoch.flips
+        if flips is not None:
+            flips.append(self)
 
     def owners(self) -> list["Packet"]:
         """Distinct packets currently holding a lane of this wire."""

@@ -226,10 +226,11 @@ class WormholeEngine:
         self.fast = resolve_engine(engine) == "fast"
         if self.fast:
             self.rng = PrefetchStream.adopt(self.rng)
-        #: Count of pending headers whose blocked-decision cache is
-        #: valid at the current fault epoch.  When it covers the whole
-        #: routing queue, Phase A's scan is provably a no-op beyond the
-        #: service-order shuffle (the all-blocked exit).
+        #: Count of pending headers holding a blocked-decision cache.
+        #: When it covers the whole routing queue, Phase A's scan is
+        #: provably a no-op beyond the service-order shuffle (the
+        #: all-blocked exit).  Wakes, grants and aborts keep it exact;
+        #: it is never reset wholesale.
         self._blk_valid = 0
         #: Deferred service-order shuffles.  An all-blocked cycle's
         #: shuffle permutes ``_pending_route`` but nothing reads the
@@ -243,6 +244,9 @@ class WormholeEngine:
         #: Cycles the span-sleep clock credited without executing them
         #: (observability only; see :class:`repro.obs.KernelProfiler`).
         self.cycles_skipped = 0
+        #: Times the channel sweep parked a blocked worm (observability
+        #: only; see :meth:`_park`).
+        self.worms_parked = 0
         #: Channels with at least one owned lane, in reverse-topological
         #: order (fast path's working set for Phase B).
         self._active: list[PhysChannel] = []
@@ -267,6 +271,7 @@ class WormholeEngine:
         self._free_run = all(
             ch.slowdown == 1 for ch in network.topo_channels
         )
+        single_lane = all(len(ch.lanes) == 1 for ch in network.topo_channels)
         #: Per-worm Phase B additionally needs every route to follow
         #: the topological channel order (``worm_phase_ok``; the direct
         #: topologies' adaptive routing defies it) and single-lane
@@ -276,9 +281,15 @@ class WormholeEngine:
         #: only worms whose every held wire is solo free-run (see
         #: :meth:`_enter_solo`).
         self._worm_mode = (
-            self._free_run
-            and network.worm_phase_ok
-            and all(len(ch.lanes) == 1 for ch in network.topo_channels)
+            self._free_run and network.worm_phase_ok and single_lane
+        )
+        #: The channel sweep parks blocked, compressed worms (see
+        #: :meth:`_park`) where the per-worm sweep does not run and a
+        #: visit to a wire with no ready lane changes nothing: no
+        #: slowed wire counts visits down, and no round robin shares a
+        #: wire (today the direct fabrics).
+        self._parking = (
+            self._free_run and single_lane and not self._worm_mode
         )
         #: node -> injection channel, resolved once (fast path).
         self._inj = [
@@ -290,12 +301,15 @@ class WormholeEngine:
         }
         #: Backlogged nodes whose injection channel can act this cycle:
         #: lane free (inject) or channel faulty (drain the queue).
-        #: Maintained by :meth:`offer`, the fast path's release sites,
-        #: and a fault-epoch guard; the fast Phase A visits only these
-        #: instead of scanning every backlogged node.
+        #: Maintained by :meth:`offer`, the fast path's release sites
+        #: and injection-channel fault flips; the fast Phase A visits
+        #: only these instead of scanning every backlogged node.
         self._inj_ready: set[int] = set()
-        self._fault_epoch = network.fault_epoch
-        self._inj_epoch = self._fault_epoch.value
+        #: Channels whose fault state flipped since the last Phase A
+        #: (the network's ``FaultEpoch.flips`` log, which only a fast
+        #: engine keeps; the reference tier reads ``faulty`` live).
+        self._flips: Optional[list[PhysChannel]] = [] if self.fast else None
+        network.fault_epoch.flips = self._flips
         #: Opt-in runtime invariant checker (REPRO_SANITIZE=1, or the
         #: explicit ``sanitize=True``); None costs nothing per cycle.
         self.sanitizer = None
@@ -635,10 +649,11 @@ class WormholeEngine:
 
         * A header that found no free lane stays blocked until a lane
           of one of its usable candidate channels is *released* (lanes
-          only free via ``Lane.release``) or the fault state changes
-          (which can alter the usable set itself).  Releases wake the
-          registered waiters via :meth:`_wake_waiters`; fault flips
-          bump the network's shared ``fault_epoch``.
+          only free via ``Lane.release``) or one of its candidates
+          flips fault state (which alters the usable set itself).  The
+          header registers on every candidate, and both events wake it
+          via :meth:`_wake_waiters`: releases at once, flips when this
+          phase drains the network's flip log.
         * The header's candidate set is a pure function of its routing
           state, which does not change while it is blocked -- so the
           cached ``usable`` list republished to the bus is identical
@@ -652,16 +667,16 @@ class WormholeEngine:
         active = self._active
         moving = self._moving
         now = self.env.now
-        epoch = self._fault_epoch.value
-        if self._inj_epoch != epoch:
-            # A fault flipped somewhere since the last cycle: it may
-            # have cut off (or reconnected) any node, so conservatively
-            # re-arm every backlogged node for one full scan.  Every
-            # blocked-header cache is stale at the new epoch too, so
-            # the valid-cache census restarts from zero.
-            self._inj_epoch = epoch
-            self._inj_ready |= self._backlogged
-            self._blk_valid = 0
+        flips = self._flips
+        if flips:
+            # Fault flips since the last cycle.  A flip changes only
+            # the usable set of the headers listing that channel, and
+            # only the node whose injection channel it is can be cut
+            # off (or reconnected): wake and re-arm exactly those,
+            # as a release of the channel would.
+            for ch in flips:
+                self._lane_freed(ch)
+            flips.clear()
         if self._inj_ready:
             # Exactly the backlogged nodes the reference scan would act
             # on: a node with an owned, healthy injection lane does
@@ -713,7 +728,7 @@ class WormholeEngine:
         if not self._pending_route:
             return
         if self._blk_valid == len(self._pending_route) and obs is None:
-            # Every pending header holds a current-epoch blocked cache:
+            # Every pending header holds a blocked cache:
             # the scan below would take the cache-hit exit for each one
             # and rebuild the same list.  The service-order shuffle is
             # the scan's only remaining observable (RNG draws), and
@@ -743,14 +758,13 @@ class WormholeEngine:
         sp_append = still_pending.append
         ACTIVE_ = PacketState.ACTIVE
         for p in self._pending_route:
-            # Cache-hit fast exit first: a non-None ``_blk_usable`` at
-            # the current fault epoch *implies* an ACTIVE header still
-            # waiting to route (grants, wakes, and aborts all clear the
-            # cache), and no lane of any usable candidate was released
-            # since the cached decision -- the free set is provably
-            # still empty.
+            # Cache-hit fast exit first: a non-None ``_blk_usable``
+            # *implies* an ACTIVE header still waiting to route (wakes
+            # and aborts clear the cache), and no candidate was
+            # released or flipped since the cached decision -- the
+            # usable list and the empty free set both still hold.
             usable = p._blk_usable
-            if usable is not None and p._blk_epoch == epoch:
+            if usable is not None:
                 if obs is not None:
                     obs.publish_block(now, p, usable)
                 sp_append(p)
@@ -769,13 +783,14 @@ class WormholeEngine:
                 lane for ch in usable for lane in ch.lanes if lane.owner is None
             ]
             if not free:
-                # Cache the decision and register for wake-on-release.
+                # Cache the decision and register on every candidate:
+                # a release of a usable one, or a flip of any one, is
+                # what can change it.
                 p._blk_usable = usable
-                p._blk_epoch = epoch
                 self._blk_valid += 1
                 token = p._blk_token
                 waiters = self._waiters
-                for ch in usable:
+                for ch in candidates:
                     lst = waiters.get(ch)
                     if lst is None:
                         waiters[ch] = [(token, p)]
@@ -791,11 +806,6 @@ class WormholeEngine:
                 lane = self.network.preferred_lane(p, free, self.rng)
                 if lane is None:
                     lane = self.rng.choice(free)
-            if p._blk_usable is not None:
-                # Previously blocked, now granted: invalidate the stale
-                # waiter registrations (lazily, via the token).
-                p._blk_usable = None
-                p._blk_token += 1
             ch = lane.channel
             if ch.owned_count and not ch.in_active:
                 # The wire's other lane belongs to a free-running worm
@@ -812,6 +822,8 @@ class WormholeEngine:
                 # only a grant can unstick it): back on the worm list.
                 p._moving = True
                 moving.append(p)
+            if p._parked:
+                self._unpark(p)
             self.network.advance(p, ch)
             p.needs_route = False
             self._progressed = True
@@ -848,11 +860,11 @@ class WormholeEngine:
         ``_active`` holds every channel with an owned lane, in
         reverse-topological order (Phase A inserts on acquire; this
         sweep compacts out channels whose last lane released), except
-        the wires of free-running worms.  During the sweep only the
-        *current* channel can change ownership (a tail release), so
-        membership of later entries is stable and the visit order
-        matches the reference's full ``topo_channels`` scan restricted
-        to busy channels -- the same flits move.
+        the wires of free-running and parked worms.  During the sweep
+        only the *current* channel can change ownership (a tail
+        release), so membership of later entries is stable and the
+        visit order matches the reference's full ``topo_channels`` scan
+        restricted to busy channels -- the same flits move.
 
         Single-lane channels take an inlined copy of
         ``PhysChannel._lane_ready`` + ``_move``; multi-lane channels
@@ -860,7 +872,9 @@ class WormholeEngine:
         ``PhysChannel.transmit``'s ready-lane round robin.  Due
         free-run actions merge into the sweep by channel topo key, as
         in :meth:`_phase_advance_worms`; they only touch wires that are
-        off ``_active``, so no key ties with a visited channel.
+        off ``_active``, so no key ties with a visited channel.  A
+        blocked worm whose head lane the sweep finds not ready is a
+        parking candidate (see :meth:`_park`).
         """
         pending = self._pending_route
         bus = self.bus
@@ -888,6 +902,9 @@ class WormholeEngine:
             if self._free_run and obs is None and self.sanitizer is None
             else None
         )
+        # Blocked worms whose head lane could not move: the parking
+        # candidates.
+        parks = [] if self._parking else None
         write = 0
         for ch in active:
             if nxt < ch.topo_order:
@@ -917,7 +934,14 @@ class WormholeEngine:
                     or (ridx > 0 and p.lanes[ridx - 1].buf == 0)
                     or (lane.buf != 0 and not dlv)
                 ):
-                    continue  # not ready this cycle
+                    # Not ready this cycle.
+                    if (
+                        parks is not None
+                        and p._blk_usable is not None
+                        and ridx == len(p.lanes) - 1
+                    ):
+                        parks.append(p)
+                    continue
             else:
                 if ch.cooldown:
                     ch.cooldown -= 1
@@ -979,8 +1003,11 @@ class WormholeEngine:
             self._exec_lazy(acts[ai])
             ai += 1
         del active[write:]
-        if cands:
-            self._enter_solo(cands)
+        dropped = self._park(parks) if parks else False
+        if cands and self._enter_solo(cands):
+            dropped = True
+        if dropped:
+            active[:] = [ch for ch in active if ch.in_active]
         # The worm list is not consumed on this branch (the channel
         # sweep ignores it) but must stay consistent for a later switch
         # to the per-worm sweep: compact out finished packets when the
@@ -1204,7 +1231,7 @@ class WormholeEngine:
         p._moving = False
         return True
 
-    def _enter_solo(self, cands: list) -> None:
+    def _enter_solo(self, cands: list) -> bool:
         """Channel sweep: free-run the delivering worms on solo wires.
 
         A worm whose every held wire has no other owned lane moves
@@ -1213,7 +1240,8 @@ class WormholeEngine:
         either, because a compressed pipeline moves every owned lane in
         every cycle, which sets each wire's pointer to the same value
         the frozen one already holds.  Entering worms' wires leave
-        ``_active`` (the ledger drives them now); a grant that shares
+        ``_active`` (the ledger drives them now; returns True when any
+        did, and the caller compacts the list); a grant that shares
         one of them brings the worm back via :meth:`_couple`.
         """
         dropped = False
@@ -1234,8 +1262,63 @@ class WormholeEngine:
             for lane in lanes[i + 1:]:
                 lane.channel.in_active = False
             dropped = True
-        if dropped:
-            self._active[:] = [ch for ch in self._active if ch.in_active]
+        return dropped
+
+    def _park(self, worms: list) -> bool:
+        """Channel sweep: park the blocked worms that cannot move.
+
+        A worm whose header is blocked with a cached decision and none
+        of whose owned lanes passes the sweep's ready rule at the end
+        of the sweep cannot move until Phase A grants its header: its
+        readiness reads only its own lanes' counters and buffers (and
+        the tail flit its oldest owned lane feeds from, which no other
+        worm can touch), and only its own moves, a grant or an abort
+        change those.  Visiting its wires would change nothing (no
+        slowed wire, no shared round robin: see ``_parking``), so they
+        leave ``_active`` until :meth:`_unpark` at the grant; an abort
+        simply releases them.  Returns True when any worm parked (the
+        caller compacts the list).
+        """
+        parked = False
+        for p in worms:
+            if p._blk_usable is None:
+                continue  # woken later in this sweep: a grant may be near
+            lanes = p.lanes
+            length = p.length
+            i = len(lanes) - 1
+            # Owned lanes are a suffix of ``p.lanes``, none of them a
+            # delivery lane (the header still routes).
+            while i >= 0 and lanes[i].owner is p:
+                lane = lanes[i]
+                if (
+                    lane.sent < length
+                    and lane.buf == 0
+                    and (i == 0 or lanes[i - 1].buf)
+                ):
+                    break  # a ready lane: the pipeline still compresses
+                i -= 1
+            else:
+                for lane in lanes[i + 1:]:
+                    lane.channel.in_active = False
+                p._parked = True
+                parked = True
+                self.worms_parked += 1
+        return parked
+
+    def _unpark(self, p: Packet) -> None:
+        """Phase A granted a parked worm's header: its wires rejoin
+        ``_active`` (see :meth:`_park`)."""
+        p._parked = False
+        active = self._active
+        lanes = p.lanes
+        for i in range(len(lanes) - 1, -1, -1):
+            lane = lanes[i]
+            if lane.owner is not p:
+                break
+            ch = lane.channel
+            if not ch.in_active:  # the granted lane's wire already is
+                ch.in_active = True
+                insort(active, ch, key=_TOPO_ORDER)
 
     def _couple(self, ch: PhysChannel) -> None:
         """A grant is about to share ``ch`` with its free-running owner.
@@ -1345,7 +1428,8 @@ class WormholeEngine:
             self._inj_ready.add(node)
 
     def _wake_waiters(self, ch: PhysChannel) -> None:
-        """A lane of ``ch`` released: invalidate blocked-header caches.
+        """A lane of ``ch`` released, or ``ch`` flipped fault state:
+        invalidate the blocked-header caches registered on it.
 
         Registrations are dropped lazily: an entry whose token no
         longer matches the packet's current wake token belongs to an
@@ -1359,8 +1443,7 @@ class WormholeEngine:
             if p._blk_token == token:
                 p._blk_token = token + 1
                 p._blk_usable = None
-                if p._blk_epoch == self._fault_epoch.value:
-                    self._blk_valid -= 1
+                self._blk_valid -= 1
 
     def abort_packet(self, p: Packet) -> None:
         """Externally kill a packet (hard faults, recovery timeouts).
@@ -1438,13 +1521,14 @@ class WormholeEngine:
         p.needs_route = False
         # Invalidate any blocked-header cache state (fast path): stale
         # waiter registrations die via the token bump.  The worm-list
-        # flag drops too; the entry itself is compacted out lazily.
+        # flag drops too; the entry itself is compacted out lazily.  A
+        # parked worm's wires are off ``_active`` and now unowned.
         if p._blk_usable is not None:
-            if p._blk_epoch == self._fault_epoch.value:
-                self._blk_valid -= 1
+            self._blk_valid -= 1
             p._blk_usable = None
         p._blk_token += 1
         p._moving = False
+        p._parked = False
         self._active_packets -= 1
         self.stats.failed_packets += 1
         if bus.enabled:
@@ -1547,12 +1631,14 @@ class WormholeEngine:
 
         A cycle is a provable no-op -- no RNG draw, no state change, no
         bus event -- exactly when nothing can inject (``_inj_ready``
-        empty), nothing moves outside the ledger (``_moving`` empty in
-        the per-worm walk, no owned channel on ``_active`` in the
-        channel sweep), every pending header is provably still blocked
-        (cache-hit exits; their shuffle draws become debt, see below),
-        no free-run action is due (the ledger's next-due horizon), and
-        no per-cycle observer runs (sanitizer / watchdogs / hot bus).
+        empty, no fault flip undrained), nothing moves outside the
+        ledger (``_moving`` empty in the per-worm walk, no owned
+        channel on ``_active`` in the channel sweep: parked worms'
+        wires are off it), every pending header is provably still
+        blocked (cache-hit exits; their shuffle draws become debt, see
+        below), no free-run action is due (the ledger's next-due
+        horizon), and no per-cycle observer runs (sanitizer / watchdogs
+        / hot bus).
         The span is additionally clamped to the next scheduled
         environment event: arrivals, fault flips, and run() stop events
         all bound it, so nothing can observe or perturb the engine
@@ -1560,6 +1646,7 @@ class WormholeEngine:
         """
         if (
             self._inj_ready
+            or self._flips
             or self.bus.hot
             or not self._free_run
             or self.sanitizer is not None
@@ -1575,8 +1662,8 @@ class WormholeEngine:
                     return 1
         pending = self._pending_route
         if pending and self._blk_valid != len(pending):
-            # Some pending header is not provably blocked at the
-            # current epoch: the full allocation scan must run.
+            # Some pending header is not provably blocked: the full
+            # allocation scan must run.
             return 1
         # All-blocked cycles do consume randomness (the service-order
         # shuffle), but nothing *observes* the queue permutation until

@@ -81,7 +81,7 @@ class SimNetwork:
         return None
 
     def _finalize_topo(self, channels: list[PhysChannel]) -> None:
-        # One fault-state version for the whole network (see FaultEpoch).
+        # One fault-flip log for the whole network (see FaultEpoch).
         self.fault_epoch = FaultEpoch()
         for order, ch in enumerate(channels):
             ch.topo_order = order

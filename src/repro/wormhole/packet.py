@@ -55,9 +55,9 @@ class Packet:
         "slots",
         "_sanitize_aborting",
         "_blk_usable",
-        "_blk_epoch",
         "_blk_token",
         "_moving",
+        "_parked",
         "_order",
         "_lz_base",
         "_lz_sent0",
@@ -107,16 +107,20 @@ class Packet:
 
         # Fast-engine blocked-header cache (see
         # :meth:`WormholeEngine._phase_allocate_fast`): the usable
-        # candidate list computed when this header last blocked, the
-        # channel-layer fault epoch it was computed under, and a wake
-        # token that invalidates stale release-waiter registrations.
+        # candidate list computed when this header last blocked, and a
+        # wake token that invalidates stale waiter registrations (a
+        # lane release or a fault flip on any candidate wakes it).
         self._blk_usable: Optional[list] = None
-        self._blk_epoch = -1
         self._blk_token = 0
         #: True while the worm sits on the fast engine's per-worm
         #: advance list (see ``WormholeEngine._phase_advance_worms``);
         #: cleared when it stalls, delivers, or aborts.
         self._moving = False
+        #: True while the fast engine's channel sweep holds this
+        #: blocked worm's wires off its active list (see
+        #: ``WormholeEngine._park``); cleared by its header's grant or
+        #: an abort.
+        self._parked = False
         #: ``topo_order`` of the newest acquired lane's channel -- the
         #: fast engine's worm-list sort key, maintained at its two
         #: acquire sites (injection and route grant) so sorting uses a

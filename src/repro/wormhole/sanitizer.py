@@ -37,6 +37,7 @@ if TYPE_CHECKING:  # pragma: no cover
     from repro.wormhole.channel import Lane
     from repro.wormhole.engine import WormholeEngine
     from repro.wormhole.network import SimNetwork
+    from repro.wormhole.packet import Packet
 
 
 class SanitizerError(AssertionError):
@@ -97,46 +98,95 @@ class Sanitizer:
                 self._check_moving(engine)
 
     def _check_active_list(self, engine: "WormholeEngine") -> None:
-        """Fast-path invariants: active list and blocked-header caches.
+        """Fast-path invariants: active list, parked worms, header caches.
 
-        * every channel with an owned lane is on the active list (a
-          miss would silently freeze a worm).  This holds only because
-          the engine never free-runs a worm under the sanitizer: the
-          channel sweep takes a free-running worm's wires off the list;
+        * every channel with an owned lane is on the active list unless
+          a parked worm owns it, and no parked worm's wire is on it (a
+          miss would silently freeze a worm).  A free-running worm's
+          wires leave the list too, which is why the engine never
+          free-runs a worm under the sanitizer;
         * the list is sorted by ``topo_order`` with no duplicates (the
           advance order must match the reference scan's);
-        * a header with a cached blocked decision at the current fault
-          epoch really has no free, non-faulty-consistent lane (the
-          cache must never hide a grantable channel).
+        * each parked worm is ACTIVE, its header waits in the routing
+          queue (cached as blocked, unless a release in this cycle's
+          Phase B woke it) and none of its owned lanes is ready;
+        * every cached blocked header's usable list is exactly what a
+          fresh ``candidates()`` call would give, and none of those
+          channels has a free lane (the cache must never hide a
+          grantable channel).  Only a header listing a channel whose
+          flip the next Phase A has yet to drain is exempt.
         """
+        from repro.wormhole.packet import PacketState
+
         listed = {id(ch) for ch in engine._active}
         if len(listed) != len(engine._active):
             self._fail("fast path: active list holds duplicate channels")
         orders = [ch.topo_order for ch in engine._active]
         if orders != sorted(orders):
             self._fail(f"fast path: active list out of topo order: {orders}")
+        parked: dict[int, "Packet"] = {}
         for ch in self.network.topo_channels:
-            if ch.owned_count > 0 and id(ch) not in listed:
-                self._fail(
-                    f"{ch.label}: owned_count={ch.owned_count} but the "
-                    "channel is missing from the fast path's active list"
-                )
-            if (id(ch) in listed) != ch.in_active:
+            on_list = id(ch) in listed
+            if on_list != ch.in_active:
                 self._fail(
                     f"{ch.label}: in_active={ch.in_active} disagrees with "
                     "actual active-list membership"
                 )
-        epoch = self.network.fault_epoch.value
+            if ch.owned_count == 0:
+                continue
+            owners = ch.owners()
+            if any(p._parked for p in owners):
+                if on_list:
+                    self._fail(
+                        f"{ch.label}: a parked worm's wire is on the fast "
+                        "path's active list"
+                    )
+                for p in owners:
+                    parked[id(p)] = p
+            elif not on_list:
+                self._fail(
+                    f"{ch.label}: owned_count={ch.owned_count} but the "
+                    "channel is missing from the fast path's active list"
+                )
+        pending = {id(p) for p in engine._pending_route}
+        for p in parked.values():
+            if p.state is not PacketState.ACTIVE:
+                self._fail(f"pkt#{p.pid}: parked in state {p.state.value}")
+            if not p.needs_route or id(p) not in pending:
+                self._fail(
+                    f"pkt#{p.pid}: parked but its header is not waiting "
+                    "in the routing queue"
+                )
+            lanes = p.lanes
+            for i in range(len(lanes) - 1, -1, -1):
+                lane = lanes[i]
+                if lane.owner is not p:
+                    break
+                if (
+                    lane.sent < p.length
+                    and (i == 0 or lanes[i - 1].buf != 0)
+                    and (lane.buf == 0 or lane.channel.is_delivery)
+                ):
+                    self._fail(
+                        f"pkt#{p.pid}: parked but {lane.channel.label} "
+                        "is ready to move a flit"
+                    )
+        flipped = {id(ch) for ch in engine._flips or ()}
         for p in engine._pending_route:
             usable = p._blk_usable
-            if usable is None or p._blk_epoch != epoch:
+            if usable is None:
                 continue
+            candidates = self.network.candidates(p)
+            if any(id(ch) in flipped for ch in candidates):
+                continue  # the next Phase A wakes it
+            fresh = [ch for ch in candidates if not ch.faulty]
+            if fresh != usable:
+                self._fail(
+                    f"pkt#{p.pid}: cached usable channels "
+                    f"{[ch.label for ch in usable]} but its candidates "
+                    f"now give {[ch.label for ch in fresh]}"
+                )
             for ch in usable:
-                if ch.faulty:
-                    self._fail(
-                        f"pkt#{p.pid}: cached usable channel {ch.label} is "
-                        "faulty at the cached fault epoch"
-                    )
                 for lane in ch.lanes:
                     if lane.owner is None:
                         self._fail(

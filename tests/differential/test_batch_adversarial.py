@@ -43,9 +43,9 @@ OVERLOAD = 0.9
 @pytest.mark.parametrize("kind", NETWORK_KINDS)
 def test_fault_mid_burst(kind):
     """Soft then hard faults land while long bursts are in flight:
-    the fault epoch bump must invalidate blocked-decision caches (and
-    the all-blocked exit's ``_blk_valid`` count) on both tiers
-    identically."""
+    each flip must invalidate the blocked-decision caches that list
+    the flipped channel (and keep the all-blocked exit's
+    ``_blk_valid`` count exact), so both tiers stay identical."""
     assert_identical(kind, "uniform", 0.9, faults=True, run_cfg=CFG_LONG)
 
 

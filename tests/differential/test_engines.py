@@ -43,8 +43,8 @@ def test_faulted_identity(kind: str, load: float) -> None:
     """Soft + hard transient faults mid-run (8 cases).
 
     The hard event aborts in-flight worms, which on the fast path must
-    first materialize any free-running worm's lane state; the repair
-    events bump the fault epoch and invalidate blocked-header caches.
+    first materialize any free-running worm's lane state; each fail
+    and repair wakes the blocked headers that list the flipped channel.
     """
     assert_identical(kind, "uniform", load, faults=True)
 

@@ -304,6 +304,25 @@ def test_cli_spec_file(tmp_path):
     assert len((tmp_path / "out.csv").read_text().strip().splitlines()) == 5
 
 
+def test_cli_survives_reader_closing_stdout(tmp_path):
+    """A reader that closes stdout before the summary (``... | head``)
+    costs the settled job neither its exit code nor a traceback."""
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "repro.serve",
+         "--cache", str(tmp_path / "cache"), "--networks", "dmin",
+         "--loads", "0.2", "--mode", "smoke", "--workers", "1",
+         "--quiet", "--json"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, cwd=str(tmp_path),
+        env={"PYTHONPATH": str(Path.cwd() / "src"), "PATH": "/usr/bin:/bin"},
+    )
+    proc.stdout.close()
+    stderr = proc.stderr.read().decode()
+    proc.stderr.close()
+    assert proc.wait(timeout=300) == 0, stderr
+    assert "Traceback" not in stderr, stderr
+    assert list((tmp_path / "cache" / "jobs").glob("*.manifest.json"))
+
+
 def test_cli_rejects_missing_spec(tmp_path):
     result = _run_cli(["--cache", str(tmp_path / "cache")], tmp_path)
     assert result.returncode != 0
