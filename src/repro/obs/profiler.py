@@ -13,8 +13,10 @@ ROADMAP's "as fast as the hardware allows" push needs: events/s,
 cycles/s, and **wall-microseconds per simulated microsecond** (the
 slowdown factor vs. the modelled hardware).  It also reports how many
 cycles the engine's span-sleep clock credited without executing them
-(``cycles_skipped``, ``span_skip_ratio``) and how often its channel
-sweep parked a blocked worm (``worms_parked``).
+(``cycles_skipped``, ``span_skip_ratio``) and its channel-sweep path
+counters: blocked worms parked (``worms_parked``), flits moved by
+following lanes (``lanes_followed``) and channel visits
+(``sweep_visits``).
 
 This is measurement of the *simulator*, not the simulated network --
 the wall-clock reads are confined to this module and are exempt from
@@ -32,6 +34,11 @@ if TYPE_CHECKING:  # pragma: no cover
 #: Microseconds per simulation cycle (the paper's 20 flits/us).
 CYCLE_MICROSECONDS = 0.05
 
+#: Engine path counters the profiler reports as window deltas.
+ENGINE_COUNTERS = (
+    "cycles_skipped", "worms_parked", "lanes_followed", "sweep_visits",
+)
+
 
 class KernelProfiler:
     """Deltas of the kernel counters + wall clock over a window.
@@ -48,15 +55,13 @@ class KernelProfiler:
         self._t0_scheduled = 0
         self._t0_fired = 0
         self._t0_cycles = 0
-        self._t0_skipped = 0
-        self._t0_parked = 0
+        self._t0_counters: dict[str, int] = {}
         self._wall: Optional[float] = None
         self._sim: Optional[float] = None
         self._scheduled: Optional[int] = None
         self._fired: Optional[int] = None
         self._cycles: Optional[int] = None
-        self._skipped: Optional[int] = None
-        self._parked: Optional[int] = None
+        self._counters: Optional[dict[str, int]] = None
 
     # -- lifecycle ---------------------------------------------------------
 
@@ -69,8 +74,9 @@ class KernelProfiler:
         self._t0_scheduled = env.events_scheduled
         self._t0_fired = env.events_fired
         self._t0_cycles = engine.cycles_run
-        self._t0_skipped = engine.cycles_skipped
-        self._t0_parked = engine.worms_parked
+        self._t0_counters = {
+            name: getattr(engine, name) for name in ENGINE_COUNTERS
+        }
         return self
 
     def finish(self) -> "KernelProfiler":
@@ -84,8 +90,7 @@ class KernelProfiler:
         self._scheduled = env.events_scheduled - self._t0_scheduled
         self._fired = env.events_fired - self._t0_fired
         self._cycles = self.engine.cycles_run - self._t0_cycles
-        self._skipped = self.engine.cycles_skipped - self._t0_skipped
-        self._parked = self.engine.worms_parked - self._t0_parked
+        self._counters = {name: self._counter(name) for name in ENGINE_COUNTERS}
         return self
 
     # -- live reads (finish() freezes them) --------------------------------
@@ -124,21 +129,32 @@ class KernelProfiler:
         assert self.engine is not None
         return self.engine.cycles_run - self._t0_cycles
 
+    def _counter(self, name: str) -> int:
+        """Window delta of one of :data:`ENGINE_COUNTERS`."""
+        if self._counters is not None:
+            return self._counters[name]
+        assert self.engine is not None
+        return getattr(self.engine, name) - self._t0_counters[name]
+
     @property
     def cycles_skipped(self) -> int:
         """Cycles the span-sleep clock credited without a tick."""
-        if self._skipped is not None:
-            return self._skipped
-        assert self.engine is not None
-        return self.engine.cycles_skipped - self._t0_skipped
+        return self._counter("cycles_skipped")
 
     @property
     def worms_parked(self) -> int:
         """Blocked worms the channel sweep took off its active list."""
-        if self._parked is not None:
-            return self._parked
-        assert self.engine is not None
-        return self.engine.worms_parked - self._t0_parked
+        return self._counter("worms_parked")
+
+    @property
+    def lanes_followed(self) -> int:
+        """Flits following lanes moved inside the channel sweep."""
+        return self._counter("lanes_followed")
+
+    @property
+    def sweep_visits(self) -> int:
+        """Active-list entries the channel sweep visited."""
+        return self._counter("sweep_visits")
 
     @property
     def max_heap_depth(self) -> int:
@@ -184,6 +200,8 @@ class KernelProfiler:
             "cycles_skipped": self.cycles_skipped,
             "span_skip_ratio": self.span_skip_ratio,
             "worms_parked": self.worms_parked,
+            "lanes_followed": self.lanes_followed,
+            "sweep_visits": self.sweep_visits,
             "sim_microseconds": self.sim_microseconds,
             "events_scheduled": self.events_scheduled,
             "events_fired": self.events_fired,
@@ -202,6 +220,8 @@ class KernelProfiler:
             f"  cycles skipped     {self.cycles_skipped:12d} "
             f"({self.span_skip_ratio:.1%} span sleep)\n"
             f"  worms parked       {self.worms_parked:12d}\n"
+            f"  lanes followed     {self.lanes_followed:12d}\n"
+            f"  sweep visits       {self.sweep_visits:12d}\n"
             f"  events scheduled   {self.events_scheduled:12d}\n"
             f"  events fired       {self.events_fired:12d} "
             f"({self.events_per_second:,.0f}/s)\n"

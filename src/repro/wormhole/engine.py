@@ -247,6 +247,11 @@ class WormholeEngine:
         #: Times the channel sweep parked a blocked worm (observability
         #: only; see :meth:`_park`).
         self.worms_parked = 0
+        #: Flits moved by following lanes, and channel-sweep visits
+        #: (``len(_active)`` summed over sweeps); observability only,
+        #: see :meth:`_phase_advance_channels`.
+        self.lanes_followed = 0
+        self.sweep_visits = 0
         #: Channels with at least one owned lane, in reverse-topological
         #: order (fast path's working set for Phase B).
         self._active: list[PhysChannel] = []
@@ -291,6 +296,18 @@ class WormholeEngine:
         self._parking = (
             self._free_run and single_lane and not self._worm_mode
         )
+        #: The channel sweep lets full body lanes alone on their wire
+        #: follow their downstream lane's move (see
+        #: :meth:`_phase_advance_channels`) where it visits every route
+        #: downstream first and no slowed wire counts visits down: the
+        #: multi-lane networks whose routes follow the channel order
+        #: (today the VMIN).
+        self._following = (
+            self._free_run and network.worm_phase_ok and not single_lane
+        )
+        #: Set by every following sweep; a hot sink attaching then puts
+        #: the followers back on ``_active`` (:meth:`_rejoin_followers`).
+        self._followed = False
         #: node -> injection channel, resolved once (fast path).
         self._inj = [
             network.injection_channel(i) for i in range(network.N)
@@ -808,9 +825,9 @@ class WormholeEngine:
                     lane = self.rng.choice(free)
             ch = lane.channel
             if ch.owned_count and not ch.in_active:
-                # The wire's other lane belongs to a free-running worm
-                # (channel sweep only): sharing the wire ends its
-                # one-flit-per-cycle schedule, so it walks again.
+                # The wire's other lane free-runs or follows (channel
+                # sweep only): sharing the wire ends a free-running
+                # worm's one-flit-per-cycle schedule, so it walks again.
                 self._couple(ch)
             lane.acquire(p)
             if not ch.in_active:
@@ -841,7 +858,8 @@ class WormholeEngine:
         or a tracer demanding the exact per-channel event order) the
         channel sweep runs.  Both sweeps hand worms to the free-run
         ledger unless a hot sink needs real per-flit state, in which
-        case every free-running worm is materialized first.  Both
+        case every free-running worm is materialized and every
+        following lane rejoins the channel sweep first.  Both
         orderings move the same flits and emit the same observable
         state, so flipping between them mid-run -- a tracer attaching,
         say -- is safe.
@@ -850,8 +868,11 @@ class WormholeEngine:
             if self._worm_mode:
                 self._phase_advance_worms()
                 return
-        elif self._lazy_live:
-            self._materialize_lazy()
+        else:
+            if self._lazy_live:
+                self._materialize_lazy()
+            if self._followed:
+                self._rejoin_followers()
         self._phase_advance_channels()
 
     def _phase_advance_channels(self) -> None:
@@ -860,11 +881,12 @@ class WormholeEngine:
         ``_active`` holds every channel with an owned lane, in
         reverse-topological order (Phase A inserts on acquire; this
         sweep compacts out channels whose last lane released), except
-        the wires of free-running and parked worms.  During the sweep
-        only the *current* channel can change ownership (a tail
-        release), so membership of later entries is stable and the
-        visit order matches the reference's full ``topo_channels`` scan
-        restricted to busy channels -- the same flits move.
+        the wires of free-running, parked and following lanes.  During
+        the sweep a tail release changes the ownership of the current
+        channel or of a following lane's wire, which is off the list,
+        so membership of later entries is stable and the visit order
+        matches the reference's full ``topo_channels`` scan restricted
+        to busy channels -- the same flits move.
 
         Single-lane channels take an inlined copy of
         ``PhysChannel._lane_ready`` + ``_move``; multi-lane channels
@@ -875,12 +897,25 @@ class WormholeEngine:
         off ``_active``, so no key ties with a visited channel.  A
         blocked worm whose head lane the sweep finds not ready is a
         parking candidate (see :meth:`_park`).
+
+        Following lanes (``_following``, no hot sink): a body lane --
+        owned, not its worm's newest lane -- alone on its wire with a
+        full buffer after its visit leaves the list.  Such a lane can
+        become ready only when its downstream lane drains it, and as
+        this sweep visits a route downstream first, nothing can change
+        its upstream buffer between that drain and its own visit.  So
+        it moves right after the drain, as the reference sweep would
+        at its visit: the walk after every move below.  A follower
+        whose upstream buffer is empty at the drain is a bubble that
+        its upstream lane's move will make ready; it rejoins the list
+        after the sweep, having nothing to do before then.
         """
         pending = self._pending_route
         bus = self.bus
         obs = bus if bus.hot else None
         now = self.env.now
         active = self._active
+        self.sweep_visits += len(active)
         acts = None
         if self._lazy_live:
             # A live free-running worm delivers a flit every cycle.
@@ -905,6 +940,11 @@ class WormholeEngine:
         # Blocked worms whose head lane could not move: the parking
         # candidates.
         parks = [] if self._parking else None
+        follow = self._following and obs is None
+        if follow:
+            self._followed = True
+            bubbles = []
+            followed = 0
         write = 0
         for ch in active:
             if nxt < ch.topo_order:
@@ -941,6 +981,9 @@ class WormholeEngine:
                         and ridx == len(p.lanes) - 1
                     ):
                         parks.append(p)
+                    elif follow and lane.buf and ridx != len(p.lanes) - 1:
+                        write -= 1  # a full body lane: it follows
+                        ch.in_active = False
                     continue
             else:
                 if ch.cooldown:
@@ -966,7 +1009,16 @@ class WormholeEngine:
                         continue
                     break
                 else:
-                    continue  # no ready lane this cycle
+                    # No ready lane this cycle.
+                    if follow and ch.owned_count == 1:
+                        for lane in lanes:
+                            p = lane.owner
+                            if p is not None:
+                                break
+                        if lane.buf and lane.route_idx != len(p.lanes) - 1:
+                            write -= 1  # a full body lane: it follows
+                            ch.in_active = False
+                    continue
                 ch.rr_next = i
             if ridx > 0:
                 p.lanes[ridx - 1].buf -= 1
@@ -987,10 +1039,11 @@ class WormholeEngine:
                     if obs is not None:
                         obs.publish_release(now, p, ch, lane.index)
                     self._finalize(p)
-                elif cands is not None and ch.owned_count == 1:
+                    continue
+                if cands is not None and ch.owned_count == 1:
                     cands.append(p)
             else:
-                if lane.sent == 1 and lane.route_idx == len(p.lanes) - 1:
+                if lane.sent == 1 and ridx == len(p.lanes) - 1:
                     # Header just reached the next switch input buffer.
                     p.needs_route = True
                     pending.append(p)
@@ -999,10 +1052,52 @@ class WormholeEngine:
                     self._lane_freed(ch)
                     if obs is not None:
                         obs.publish_release(now, p, ch, lane.index)
+                    continue  # the tail: every upstream lane released
+                if (
+                    follow
+                    and ch.owned_count == 1
+                    and ridx != len(p.lanes) - 1
+                ):
+                    write -= 1  # a full body lane: it follows
+                    ch.in_active = False
+            if not follow or not ridx:
+                continue
+            # The followers upstream ride this move, each right after
+            # the downstream move that drained it.
+            plan = p.lanes
+            length = p.length
+            ridx -= 1
+            up = plan[ridx]
+            while up.owner is p and not up.channel.in_active:
+                if ridx:
+                    feed = plan[ridx - 1]
+                    if not feed.buf:
+                        bubbles.append(up.channel)
+                        break
+                    feed.buf -= 1
+                up.sent += 1
+                up.buf = 1
+                uch = up.channel
+                i = up.index + 1
+                uch.rr_next = i if i < len(uch.lanes) else 0
+                followed += 1
+                if up.sent == length:
+                    up.release()
+                    self._lane_freed(uch)
+                    break
+                if not ridx:
+                    break
+                ridx -= 1
+                up = feed
         while ai < na:  # actions past the last active channel
             self._exec_lazy(acts[ai])
             ai += 1
         del active[write:]
+        if follow:
+            self.lanes_followed += followed
+            for ch in bubbles:
+                ch.in_active = True
+                insort(active, ch, key=_TOPO_ORDER)
         dropped = self._park(parks) if parks else False
         if cands and self._enter_solo(cands):
             dropped = True
@@ -1321,19 +1416,36 @@ class WormholeEngine:
                 insort(active, ch, key=_TOPO_ORDER)
 
     def _couple(self, ch: PhysChannel) -> None:
-        """A grant is about to share ``ch`` with its free-running owner.
+        """A grant is about to share ``ch``, which is off ``_active``.
 
-        The owner's lane on ``ch`` will now lose round-robin turns, so
-        its ledger schedule no longer holds: materialize it (which puts
-        its wires back on ``_active``) and return it to the worm list.
+        If its owner free-runs, the owner's lane on ``ch`` will now lose
+        round-robin turns, so its ledger schedule no longer holds:
+        materialize it (which puts its wires back on ``_active``) and
+        return it to the worm list.  A following lane's real state
+        needs nothing: the grant's own insort puts the wire back.
         """
         for lane in ch.lanes:
             p = lane.owner
             if p is not None:
-                self._materialize_worm(p)
-                p._moving = True
-                self._moving.append(p)
+                if p._lz_base >= 0:
+                    self._materialize_worm(p)
+                    p._moving = True
+                    self._moving.append(p)
                 return
+
+    def _rejoin_followers(self) -> None:
+        """A hot sink needs the reference's per-channel event order:
+        every following lane's wire rejoins ``_active``, once, at the
+        switch.  Free-running worms are materialized first, and no
+        network both follows and parks, so every owned wire off the
+        list is a follower's."""
+        self._followed = False
+        active = self._active
+        for ch in self.network.topo_channels:
+            if ch.owned_count and not ch.in_active:
+                ch.in_active = True
+                active.append(ch)
+        active.sort(key=_TOPO_ORDER)
 
     def _exec_lazy(self, act) -> bool:
         """Replay one scheduled free-run action (see :meth:`_enter_lazy`).
@@ -1634,7 +1746,8 @@ class WormholeEngine:
         empty, no fault flip undrained), nothing moves outside the
         ledger (``_moving`` empty in the per-worm walk, no owned
         channel on ``_active`` in the channel sweep: parked worms'
-        wires are off it), every pending header is provably still
+        wires are off it, and a following lane's worm keeps its
+        newest lane on it), every pending header is provably still
         blocked (cache-hit exits; their shuffle draws become debt, see
         below), no free-run action is due (the ledger's next-due
         horizon), and no per-cycle observer runs (sanitizer / watchdogs

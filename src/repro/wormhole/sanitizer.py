@@ -101,10 +101,14 @@ class Sanitizer:
         """Fast-path invariants: active list, parked worms, header caches.
 
         * every channel with an owned lane is on the active list unless
-          a parked worm owns it, and no parked worm's wire is on it (a
-          miss would silently freeze a worm).  A free-running worm's
-          wires leave the list too, which is why the engine never
-          free-runs a worm under the sanitizer;
+          a parked worm or a following lane owns it, and no parked
+          worm's wire is on it (a miss would silently freeze a worm).
+          A following lane must be owned, not its worm's newest lane,
+          alone on its wire and hold a full buffer, on an engine that
+          follows and has no hot sink (see
+          ``WormholeEngine._phase_advance_channels``).  A free-running
+          worm's wires leave the list too, which is why the engine
+          never free-runs a worm under the sanitizer;
         * the list is sorted by ``topo_order`` with no duplicates (the
           advance order must match the reference scan's);
         * each parked worm is ACTIVE, its header waits in the routing
@@ -143,7 +147,7 @@ class Sanitizer:
                     )
                 for p in owners:
                     parked[id(p)] = p
-            elif not on_list:
+            elif not on_list and not self._following(engine, ch):
                 self._fail(
                     f"{ch.label}: owned_count={ch.owned_count} but the "
                     "channel is missing from the fast path's active list"
@@ -193,6 +197,15 @@ class Sanitizer:
                             f"pkt#{p.pid}: cached as blocked but "
                             f"{ch.label}.{lane.index} is free"
                         )
+
+    @staticmethod
+    def _following(engine: "WormholeEngine", ch) -> bool:
+        """Is the owned wire ``ch``, off the active list, a following
+        lane's?"""
+        if not engine._following or engine.bus.hot or ch.owned_count != 1:
+            return False
+        lane = next(lane for lane in ch.lanes if lane.owner is not None)
+        return lane.buf == 1 and lane.route_idx < len(lane.owner.lanes) - 1
 
     def _check_moving(self, engine: "WormholeEngine") -> None:
         """Per-worm Phase B invariants: nothing sleeps that could move.

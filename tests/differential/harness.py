@@ -118,8 +118,10 @@ def run_case(
 
     ``sink`` attaches a bus sink before the run, or -- with
     ``sink_at`` -- mid-run, at that simulated time; the sink's
-    ``free_running_at_attach`` then records how many worms the engine
-    was free-running at that instant (always 0 on the reference tier).
+    ``free_running_at_attach`` and ``following_at_attach`` then record
+    how many worms the engine was free-running and how many lanes were
+    following (see :func:`following_lanes`) at that instant (always 0
+    on the reference tier).
 
     ``overload`` installs a deliberately tight
     :class:`~repro.stability.BoundedQueue` in the named admission mode
@@ -269,10 +271,26 @@ def run_case(
     )
 
 
+def following_lanes(eng) -> int:
+    """Owned lanes the fast tier's channel sweep holds off its active
+    list for neither a free-running nor a parked worm: following lanes
+    (0 on the reference tier, which keeps no active list)."""
+    if not eng.fast:
+        return 0
+    return sum(
+        1
+        for ch in eng.network.topo_channels
+        if ch.owned_count and not ch.in_active
+        for p in ch.owners()
+        if p._lz_base < 0 and not p._parked
+    )
+
+
 def _attach_at(env, eng, sink, at: float):
     """Process: attach ``sink`` to the engine's bus at time ``at``."""
     yield env.timeout(at)
     sink.free_running_at_attach = len(eng._lazy_live)
+    sink.following_at_attach = following_lanes(eng)
     eng.bus.attach(sink)
 
 

@@ -81,7 +81,8 @@ def test_event_stream_identity_mid_run_attach(
     """A hot sink attaching while worms free-run: the fast tier must
     materialize them (on the VMIN and the torus, put their wires back
     on the channel sweep; on the torus, from buffers that are not all
-    full) so the transmit log from the attach on matches the
+    full), and on the VMIN put its following lanes back on the sweep
+    too, so the transmit log from the attach on matches the
     reference's, with every observable bit-identical.  (The sanitizer
     switches free-run off, so this case always runs without it.)"""
     monkeypatch.delenv("REPRO_SANITIZE", raising=False)
@@ -97,6 +98,9 @@ def test_event_stream_identity_mid_run_attach(
         run_cfg=CFG_STREAM, net_kwargs=net_kwargs,
     )
     assert rec.free_running_at_attach > 0, "no worm free-ran at the attach"
+    if kind == "vmin":
+        # ... and lanes were following, which must rejoin the sweep.
+        assert rec.following_at_attach > 0, "no lane followed at the attach"
     assert strip_kernel_counters(snap) == strip_kernel_counters(snap_ref)
     assert any(e[0] == "transmit" for e in rec.events)
     assert rec.events == rec_ref.events

@@ -125,6 +125,33 @@ def test_profiler_reports_span_skipped_cycles():
     assert "cycles skipped" in prof.render()
 
 
+def test_profiler_reports_channel_sweep_counters():
+    """A VMIN worm blocked behind two others holding its destination's
+    lanes: its full body lanes follow, and the profiler reports their
+    moves and the sweep's visits.  Under an ObsSession (hot sinks, as
+    for ``--obs-report``) nothing follows, and the report says so."""
+    offers = ((0, 7, 300), (1, 7, 300), (2, 7, 100))
+    env, eng = _engine("vmin")
+    prof = KernelProfiler().install(eng)
+    for src, dst, length in offers:
+        eng.offer(src, dst, length)
+    eng.run_cycles(200)
+    prof.finish()
+    assert prof.lanes_followed == eng.lanes_followed > 0
+    assert prof.sweep_visits == eng.sweep_visits > 0
+    d = prof.to_dict()
+    assert d["lanes_followed"] == prof.lanes_followed
+    assert d["sweep_visits"] == prof.sweep_visits
+    env, eng = _engine("vmin")
+    with ObsSession(eng) as obs:
+        for src, dst, length in offers:
+            eng.offer(src, dst, length)
+        eng.run_cycles(200)
+    assert obs.profiler.lanes_followed == 0 < obs.profiler.sweep_visits
+    text = obs.report()
+    assert "lanes followed" in text and "sweep visits" in text
+
+
 def test_profiler_finish_is_idempotent():
     env, eng = _engine()
     prof = KernelProfiler().install(eng)
