@@ -16,7 +16,12 @@ cycles the engine's span-sleep clock credited without executing them
 (``cycles_skipped``, ``span_skip_ratio``) and its channel-sweep path
 counters: blocked worms parked (``worms_parked``), flits moved by
 following lanes (``lanes_followed``) and channel visits
-(``sweep_visits``).
+(``sweep_visits``), and its Phase A counters: service-order
+Fisher-Yates draws (``shuffle_draws``) and full allocation scans
+(``alloc_scans``).  A hot bus sink switches span sleep, free-run and
+following off, so the engine runs the exact-event-order channel sweep;
+the profiler records a hot sink attached at the window's start or end
+(``hot_sink``) and says so in its report.
 
 This is measurement of the *simulator*, not the simulated network --
 the wall-clock reads are confined to this module and are exempt from
@@ -37,6 +42,14 @@ CYCLE_MICROSECONDS = 0.05
 #: Engine path counters the profiler reports as window deltas.
 ENGINE_COUNTERS = (
     "cycles_skipped", "worms_parked", "lanes_followed", "sweep_visits",
+    "shuffle_draws", "alloc_scans",
+)
+
+
+#: The report line that flags a window profiled under a hot bus sink.
+_HOT_NOTE = (
+    "  hot sink attached: exact-order channel sweep "
+    "(no span sleep, free-run or following)\n"
 )
 
 
@@ -62,6 +75,9 @@ class KernelProfiler:
         self._fired: Optional[int] = None
         self._cycles: Optional[int] = None
         self._counters: Optional[dict[str, int]] = None
+        #: Whether a hot bus sink was attached at the window's start or
+        #: end (see :attr:`hot_sink`).
+        self._hot = False
 
     # -- lifecycle ---------------------------------------------------------
 
@@ -77,6 +93,7 @@ class KernelProfiler:
         self._t0_counters = {
             name: getattr(engine, name) for name in ENGINE_COUNTERS
         }
+        self._hot = engine.bus.hot
         return self
 
     def finish(self) -> "KernelProfiler":
@@ -91,6 +108,7 @@ class KernelProfiler:
         self._fired = env.events_fired - self._t0_fired
         self._cycles = self.engine.cycles_run - self._t0_cycles
         self._counters = {name: self._counter(name) for name in ENGINE_COUNTERS}
+        self._hot = self._hot or self.engine.bus.hot
         return self
 
     # -- live reads (finish() freezes them) --------------------------------
@@ -157,6 +175,29 @@ class KernelProfiler:
         return self._counter("sweep_visits")
 
     @property
+    def shuffle_draws(self) -> int:
+        """Fisher-Yates draws of Phase A's service-order shuffle."""
+        return self._counter("shuffle_draws")
+
+    @property
+    def alloc_scans(self) -> int:
+        """Full Phase A allocation scans (all-blocked exits excluded)."""
+        return self._counter("alloc_scans")
+
+    @property
+    def hot_sink(self) -> bool:
+        """A hot bus sink was attached at the window's start or end.
+
+        The engine then ran the exact-event-order channel sweep, with
+        span sleep, free-run and following off, so ``cycles_skipped``
+        and ``lanes_followed`` read 0 on a path untraced runs never
+        take.
+        """
+        if self._wall is not None or self.engine is None:
+            return self._hot
+        return self._hot or self.engine.bus.hot
+
+    @property
     def max_heap_depth(self) -> int:
         """High-water mark of the event heap (whole run, not a delta)."""
         assert self.engine is not None
@@ -202,6 +243,9 @@ class KernelProfiler:
             "worms_parked": self.worms_parked,
             "lanes_followed": self.lanes_followed,
             "sweep_visits": self.sweep_visits,
+            "shuffle_draws": self.shuffle_draws,
+            "alloc_scans": self.alloc_scans,
+            "hot_sink": self.hot_sink,
             "sim_microseconds": self.sim_microseconds,
             "events_scheduled": self.events_scheduled,
             "events_fired": self.events_fired,
@@ -222,6 +266,9 @@ class KernelProfiler:
             f"  worms parked       {self.worms_parked:12d}\n"
             f"  lanes followed     {self.lanes_followed:12d}\n"
             f"  sweep visits       {self.sweep_visits:12d}\n"
+            f"  shuffle draws      {self.shuffle_draws:12d}\n"
+            f"  allocation scans   {self.alloc_scans:12d}\n"
+            f"{_HOT_NOTE if self.hot_sink else ''}"
             f"  events scheduled   {self.events_scheduled:12d}\n"
             f"  events fired       {self.events_fired:12d} "
             f"({self.events_per_second:,.0f}/s)\n"

@@ -129,9 +129,19 @@ class RandomStream:
 
 #: Words one :class:`PrefetchStream` refill draws from the generator.
 _PREFETCH = 4096
-_WORDS = struct.Struct(f"<{_PREFETCH}I")
-#: ``32 - (i + 1).bit_length()``: the word shift of Fisher-Yates draw ``i``.
-_SHIFTS = tuple(32 - (i + 1).bit_length() for i in range(_PREFETCH))
+#: One little-endian word, read in place from a refill's raw bytes.
+_WORD = struct.Struct("<I")
+#: The largest bound served from a word's top byte: ``_randbelow(n)``
+#: keeps the top ``n.bit_length()`` bits, at most 8 for ``n <= 255``.
+_TOP_MAX = 255
+#: The top-byte Fisher-Yates draws in pass order: ``(i, shift)`` for
+#: ``i = 254 .. 1``, where draw ``i`` is ``top >> shift`` and accepts
+#: values ``<= i``.  A pass over ``n <= 255`` items is the suffix
+#: ``_PAIRS[255 - n:]``.
+_PAIRS = tuple((i, 8 - (i + 1).bit_length()) for i in range(_TOP_MAX - 1, 0, -1))
+#: A fused chunk replays ``1 + _CHUNK // n`` passes over ``n`` items,
+#: so its flattened pair tuple stays near ``_CHUNK`` entries.
+_CHUNK = 512
 
 
 class PrefetchStream:
@@ -141,10 +151,16 @@ class PrefetchStream:
     take the top ``n.bit_length()`` bits of the next 32-bit
     Mersenne-Twister word and reject values ``>= n``.  One
     ``getrandbits(32 * 4096)`` call returns the next 4096 words least
-    significant first, so unpacking it little-endian yields exactly the
-    words those draws would have read one at a time: the draws are
-    bit-identical to the wrapped stdlib generator's, and a 32-entry
-    shuffle costs one loop over a tuple instead of 31 method calls.
+    significant first, so its little-endian bytes hold exactly the
+    words those draws would have read one at a time, and byte
+    ``4 * w + 3`` is word ``w``'s top byte.  A bound ``n <= 255`` needs
+    at most 8 bits, all inside that byte, so such a draw is
+    ``top[w] >> (8 - n.bit_length())`` on a small int from the slice
+    ``raw[3::4]``; larger bounds unpack the whole word from ``raw``.
+    Either way the draws are bit-identical to the wrapped stdlib
+    generator's.  :meth:`shuffle_k` runs its passes as one loop over a
+    shared ``(i, shift)`` table, in chunks of bounded size, and
+    refills only when a read runs off the buffer's end.
 
     Only the draws the engine's allocation stream makes exist here.  It
     is deliberately not a :class:`RandomStream`: any other draw raises
@@ -152,10 +168,14 @@ class PrefetchStream:
     the buffer.
     """
 
-    __slots__ = ("_rng", "_buf", "_ptr")
+    __slots__ = ("_rng", "_raw", "_top", "_ptr")
 
     _rng: random.Random
-    _buf: tuple[int, ...]
+    #: The refill's words, little-endian, ``4 * _PREFETCH`` bytes.
+    _raw: bytes
+    #: ``_raw[3::4]``: each word's top byte.
+    _top: bytes
+    #: Index of the next unread word.
     _ptr: int
 
     @classmethod
@@ -167,33 +187,37 @@ class PrefetchStream:
         """
         obj = cls.__new__(cls)
         obj._rng = stream._rng
-        obj._buf = ()
+        obj._raw = obj._top = b""
         obj._ptr = 0
         return obj
 
-    def _refill(self) -> tuple[int, ...]:
-        self._buf = _WORDS.unpack(
-            self._rng.getrandbits(32 * _PREFETCH).to_bytes(4 * _PREFETCH, "little")
-        )
-        return self._buf
+    def _refill(self) -> None:
+        raw = self._rng.getrandbits(32 * _PREFETCH).to_bytes(4 * _PREFETCH, "little")
+        self._raw = raw
+        self._top = raw[3::4]
 
-    def choice(self, seq: Sequence[T]) -> T:
-        """Uniformly random element of a non-empty sequence."""
-        n = len(seq)
-        if not n:
-            raise ValueError("cannot choose from an empty sequence")
-        shift = 32 - n.bit_length()
-        buf = self._buf
+    def _below(self, n: int) -> int:
+        """One ``_randbelow(n)`` draw (``n >= 1``), refilling as needed."""
+        k = n.bit_length()
         ptr = self._ptr
         while True:
-            if ptr >= len(buf):
-                buf = self._refill()
+            if ptr >= len(self._top):
+                self._refill()
                 ptr = 0
-            j = buf[ptr] >> shift
+            if k <= 8:
+                j = self._top[ptr] >> (8 - k)
+            else:
+                j = _WORD.unpack_from(self._raw, 4 * ptr)[0] >> (32 - k)
             ptr += 1
             if j < n:
                 self._ptr = ptr
-                return seq[j]
+                return j
+
+    def choice(self, seq: Sequence[T]) -> T:
+        """Uniformly random element of a non-empty sequence."""
+        if not seq:
+            raise ValueError("cannot choose from an empty sequence")
+        return seq[self._below(len(seq))]
 
     def shuffle(self, seq: list) -> None:
         """In-place Fisher-Yates shuffle."""
@@ -209,21 +233,43 @@ class PrefetchStream:
         n = len(seq)
         if n < 2 or k <= 0:
             return  # a 0/1-element Fisher-Yates draws nothing
-        buf = self._buf
-        nb = len(buf)
-        ptr = self._ptr
-        indices = range(n - 1, 0, -1)
+        if n <= _TOP_MAX:
+            self._passes(seq, _PAIRS[_TOP_MAX - n:], k)
+            return
+        below = self._below
         for _ in range(k):
-            for i in indices:
-                shift = _SHIFTS[i] if i < _PREFETCH else 32 - (i + 1).bit_length()
-                while True:
-                    if ptr >= nb:
-                        buf = self._refill()
-                        nb = _PREFETCH
-                        ptr = 0
-                    j = buf[ptr] >> shift
-                    ptr += 1
-                    if j <= i:
-                        break
+            for i in range(n - 1, _TOP_MAX - 1, -1):
+                j = below(i + 1)
                 seq[i], seq[j] = seq[j], seq[i]
+            self._passes(seq, _PAIRS, 1)
+
+    def _passes(self, seq: list, one: tuple[tuple[int, int], ...], k: int) -> None:
+        """``k`` top-byte passes over ``seq``, ``one`` being a single
+        pass's ``(i, shift)`` draws."""
+        per = 1 + _CHUNK // (len(one) + 1)
+        top = self._top
+        ptr = self._ptr
+        while k > 0:
+            c = per if per < k else k
+            k -= c
+            pairs = iter(one * c)
+            while True:
+                try:
+                    for i, s in pairs:
+                        j = top[ptr] >> s
+                        ptr += 1
+                        while j > i:
+                            j = top[ptr] >> s
+                            ptr += 1
+                        seq[i], seq[j] = seq[j], seq[i]
+                    break
+                except IndexError:
+                    # Only a ``top`` read can raise (``j <= i < n``): it
+                    # ran off the buffer, so finish draw ``i`` on a
+                    # fresh refill, then resume the chunk after it.
+                    self._ptr = ptr
+                    j = self._below(i + 1)
+                    seq[i], seq[j] = seq[j], seq[i]
+                    top = self._top
+                    ptr = self._ptr
         self._ptr = ptr

@@ -252,6 +252,13 @@ class WormholeEngine:
         #: see :meth:`_phase_advance_channels`.
         self.lanes_followed = 0
         self.sweep_visits = 0
+        #: Fisher-Yates draws of the service-order shuffle
+        #: (``len(pending) - 1`` per cycle, a deferred cycle counted
+        #: when it is owed, so both tiers agree at every cycle
+        #: boundary) and full allocation scans (all-blocked exits
+        #: excluded); observability only.
+        self.shuffle_draws = 0
+        self.alloc_scans = 0
         #: Channels with at least one owned lane, in reverse-topological
         #: order (fast path's working set for Phase B).
         self._active: list[PhysChannel] = []
@@ -561,6 +568,8 @@ class WormholeEngine:
             return
         # Random service order models switches acting asynchronously.
         self.rng.shuffle(self._pending_route)
+        self.shuffle_draws += len(self._pending_route) - 1
+        self.alloc_scans += 1
         still_pending = []
         for p in self._pending_route:
             if p.state is not PacketState.ACTIVE or not p.needs_route:
@@ -754,6 +763,7 @@ class WormholeEngine:
             # replayed verbatim before the next order-observing scan.
             # (With a hot bus sink the per-header block events must
             # still be published, so the full scan runs.)
+            self.shuffle_draws += len(self._pending_route) - 1
             if moving:
                 # Phase B may append a new header this cycle: settle
                 # the debt and draw this cycle's shuffle for real.
@@ -771,6 +781,8 @@ class WormholeEngine:
             self._flush_shuffles()
         if len(self._pending_route) > 1:
             self.rng.shuffle(self._pending_route)
+        self.shuffle_draws += len(self._pending_route) - 1
+        self.alloc_scans += 1
         still_pending = []
         sp_append = still_pending.append
         ACTIVE_ = PacketState.ACTIVE
@@ -1721,8 +1733,10 @@ class WormholeEngine:
                     # real draws become debt -- the queue length is
                     # frozen while debt is outstanding, which keeps the
                     # replay word-exact.
-                    if len(self._pending_route) > 1:
+                    draws = len(self._pending_route) - 1
+                    if draws > 0:
                         self._shuffle_debt += k - 1
+                        self.shuffle_draws += (k - 1) * draws
                 if env.peek() > target:
                     # Nothing is scheduled at or before the wake tick:
                     # skip the kernel round trip (wake event, heap pop,

@@ -152,6 +152,35 @@ def test_profiler_reports_channel_sweep_counters():
     assert "lanes followed" in text and "sweep visits" in text
 
 
+def test_profiler_flags_a_hot_sink():
+    """ObsSession's contention sink is a hot bus sink, so its window
+    runs the exact-order channel sweep (nothing skipped or followed);
+    the profiler records that and says so, and a bare profiler does
+    not.  Both report the Phase A counters."""
+    env, eng = _engine("dmin")
+    prof = KernelProfiler().install(eng)
+    for src in range(4):
+        eng.offer(src, 7, 64)
+    eng.drain()
+    prof.finish()
+    assert not prof.hot_sink and prof.to_dict()["hot_sink"] is False
+    assert "hot sink" not in prof.render()
+    assert prof.shuffle_draws == eng.shuffle_draws > 0
+    assert prof.alloc_scans == eng.alloc_scans > 0
+    env, eng = _engine("dmin")
+    with ObsSession(eng) as obs:
+        for src in range(4):
+            eng.offer(src, 7, 64)
+        eng.drain()
+    d = obs.to_dict()["kernel"]
+    assert obs.profiler.hot_sink and d["hot_sink"] is True
+    assert d["cycles_skipped"] == 0
+    assert d["shuffle_draws"] == obs.profiler.shuffle_draws > 0
+    assert "hot sink attached" in obs.report()
+    # The flag is frozen with the window: detaching does not clear it.
+    assert not eng.bus.hot and obs.profiler.hot_sink
+
+
 def test_profiler_finish_is_idempotent():
     env, eng = _engine()
     prof = KernelProfiler().install(eng)

@@ -7,7 +7,10 @@ stdlib :class:`RandomStream`: every draw the engine makes (``shuffle``,
 the fused ``shuffle_k`` that replays deferred service-order shuffles,
 and ``choice``) must match over arbitrary interleaved call sequences,
 including adoption mid-stream and sequences long enough to cross
-several refills.  Numpy-free, like the engine.
+several refills.  Bounds up to 255 read a word's top byte and larger
+ones the whole word, so the cutoff and both sides of it are drawn
+here too, as are ``shuffle_k`` counts that cross a fused chunk.
+Numpy-free, like the engine.
 """
 
 from __future__ import annotations
@@ -21,7 +24,7 @@ hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
-from repro.sim.rng import PrefetchStream, RandomStream  # noqa: E402
+from repro.sim.rng import _CHUNK, PrefetchStream, RandomStream  # noqa: E402
 
 seeds = st.integers(min_value=0, max_value=2**32 - 1)
 
@@ -32,6 +35,15 @@ _ops = st.one_of(
     st.tuples(st.just("shuffle"), st.integers(0, 70)),
     st.tuples(st.just("shuffle_k"), st.integers(0, 70), st.integers(0, 6)),
     st.tuples(st.just("choice"), st.integers(1, 70)),
+)
+
+#: The same ops at bounds around the top-byte cutoff (255) and past it,
+#: where draws read the whole word.
+_WIDE = st.sampled_from([254, 255, 256, 257, 300, 600])
+_wide_ops = st.one_of(
+    st.tuples(st.just("shuffle"), _WIDE),
+    st.tuples(st.just("shuffle_k"), _WIDE, st.integers(0, 3)),
+    st.tuples(st.just("choice"), st.sampled_from([255, 256, 257])),
 )
 
 
@@ -65,6 +77,42 @@ def test_prefetch_draw_identity(seed, ops):
     ref = RandomStream(seed)
     fetched = PrefetchStream.adopt(RandomStream(seed))
     for op in ops:
+        assert _apply(ref, op) == _apply(fetched, op), op
+
+
+@given(seed=seeds, ops=st.lists(st.one_of(_ops, _wide_ops), max_size=12))
+@settings(max_examples=60, deadline=None)
+def test_prefetch_wide_draw_identity(seed, ops):
+    """Draws at bounds 254-257, 300 and 600, mixed with small ones,
+    match draw by draw: both sides of the top-byte cutoff."""
+    ref = RandomStream(seed)
+    fetched = PrefetchStream.adopt(RandomStream(seed))
+    for op in ops:
+        assert _apply(ref, op) == _apply(fetched, op), op
+
+
+@given(
+    seed=seeds,
+    n=st.integers(min_value=2, max_value=255),
+    chunks=st.integers(min_value=1, max_value=2),
+    offset=st.integers(min_value=-1, max_value=1),
+    tail=st.lists(_ops, max_size=5),
+)
+@settings(max_examples=80, deadline=None)
+def test_shuffle_k_across_chunk_boundaries(seed, n, chunks, offset, tail):
+    """``shuffle_k`` replays its passes in fused chunks of
+    ``1 + _CHUNK // n``; pass counts just below, at and just past one
+    or two whole chunks equal that many separate shuffles."""
+    k = chunks * (1 + _CHUNK // n) + offset
+    ref = RandomStream(seed)
+    fetched = PrefetchStream.adopt(RandomStream(seed))
+    a = list(range(n))
+    b = list(range(n))
+    for _ in range(k):
+        ref.shuffle(a)
+    fetched.shuffle_k(b, k)
+    assert a == b, k
+    for op in tail:
         assert _apply(ref, op) == _apply(fetched, op), op
 
 
@@ -110,8 +158,12 @@ def test_shuffle_k_equals_k_shuffles(seed, n, k, tail):
 def test_draws_cross_refill_boundaries():
     """Each draw kind, repeated over more than three refills' worth of
     words, matches the stdlib stream -- so a draw of that kind reads
-    the last word before every refill boundary."""
-    for op in (("choice", 3), ("shuffle", 40), ("shuffle_k", 9, 4)):
+    the last word before every refill boundary, on the top-byte path
+    and on the full-word one."""
+    for op in (
+        ("choice", 3), ("shuffle", 40), ("shuffle_k", 9, 4),
+        ("choice", 300), ("shuffle", 300), ("shuffle_k", 260, 2),
+    ):
         ref = RandomStream(1)
         counter = ref._rng = _CountingRandom(1)
         fetched = PrefetchStream.adopt(RandomStream(1))

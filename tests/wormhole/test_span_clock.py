@@ -36,17 +36,17 @@ def streaming_point(engine=None, load=0.1, kind="dmin", router="dor"):
     return env, eng
 
 
-def contended_point():
-    """A default-tier DMIN point at saturation with 64-flit worms, run
-    through its measurement window on the point lifecycle; returns the
-    engine."""
+def contended_point(engine=None):
+    """A DMIN point at saturation with 64-flit worms (default tier
+    unless ``engine`` names one), run through its measurement window on
+    the point lifecycle; returns the engine."""
     cfg = replace(
         PRESETS["smoke"], warmup_packets=10, measure_packets=40,
         sizes=MessageSizeModel("fixed", 64, 64),
     )
     network = NetworkConfig("dmin")
     load = 1.0
-    _, eng, root = build_point(network, load, cfg)
+    _, eng, root = build_point(network, load, cfg, engine)
     workload = WorkloadSpec(pattern="uniform").builder(cfg)(load)
     install_workload(eng, workload, root.fork(f"workload/{network.label}/{load}"))
     warm_up(eng, cfg)
@@ -92,6 +92,19 @@ class _HotSink:
 
     def on_transmit(self, t, channel, lane) -> None:
         pass
+
+
+def test_tiers_count_the_same_shuffle_draws(default_tier):
+    """The span-sleep clock defers all-blocked cycles' shuffles as
+    debt, but counts their draws when they are owed: both tiers report
+    the same Fisher-Yates draws, while the fast tier runs fewer full
+    allocation scans."""
+    fast = contended_point("fast")
+    ref = contended_point("reference")
+    assert fast.cycles_run == ref.cycles_run
+    assert fast.cycles_skipped > 0
+    assert fast.shuffle_draws == ref.shuffle_draws > 0
+    assert 0 < fast.alloc_scans < ref.alloc_scans
 
 
 def test_hot_bus_sink_switches_span_sleep_off(default_tier):
