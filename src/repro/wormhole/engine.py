@@ -20,6 +20,11 @@ Each simulation cycle (= the time to move one flit across one channel;
   direct mesh/torus order (delivery channels, then fabric lanes by
   descending dimension and ascending source node, injection last) is
   not downstream-first along a route; see ``docs/topologies.md``.
+  The fast tier runs one sweep on every fabric: it visits only the
+  channels whose lanes can act, and on the MINs moves the lanes behind
+  a worm's newest one in a walk upstream from it, which the
+  downstream-first order makes exact (see
+  :meth:`WormholeEngine._phase_advance_fast`).
 
 The engine runs inside a :class:`repro.sim.Environment`: a clock process
 steps cycles, fast-forwarding across idle gaps, while workload processes
@@ -30,7 +35,7 @@ from __future__ import annotations
 
 import math
 import os
-from bisect import insort
+from bisect import bisect_left, insort
 from collections import deque
 from dataclasses import dataclass, field
 from operator import attrgetter, itemgetter
@@ -60,15 +65,6 @@ ENGINE_KINDS = ("fast", "reference")
 #: Sort key for the fast path's active channel list.
 _TOPO_ORDER = attrgetter("topo_order")
 
-
-#: Sort key of the per-worm advance: ``topo_order`` of the worm's newest
-#: lane, mirrored into ``Packet._order`` at the two acquire sites.
-#: Every within-cycle event Phase B emits for a worm -- the header
-#: arriving at the next switch, the tail reaching the destination --
-#: happens on the worm's most recently acquired lane, so processing
-#: worms in this order reproduces the reference sweep's interleaving of
-#: ``pending.append`` and ``_finalize`` exactly.
-_WORM_ORDER = attrgetter("_order")
 
 #: Sort key of a free-run action bucket: (channel topo key, action
 #: kind).  Kind breaks the tie when one channel's move both drains the
@@ -216,8 +212,9 @@ class WormholeEngine:
         self.stats = EngineStats()
         #: The engine tier (one of :data:`ENGINE_KINDS`; None defers to
         #: ``REPRO_ENGINE``).  ``fast`` runs the optimized per-cycle
-        #: phases (active channel list, cached blocked headers, per-worm
-        #: advance, free-run ledger) under the span-sleep clock, with
+        #: phases (cached blocked headers; one sweep over an active
+        #: channel list with parked worms and following lanes left off
+        #: it; free-run ledger) under the span-sleep clock, with
         #: the allocation stream served by a
         #: :class:`~repro.sim.rng.PrefetchStream`; the reference tier
         #: runs the straightforward phases one cycle per kernel wake on
@@ -249,7 +246,7 @@ class WormholeEngine:
         self.worms_parked = 0
         #: Flits moved by following lanes, and channel-sweep visits
         #: (``len(_active)`` summed over sweeps); observability only,
-        #: see :meth:`_phase_advance_channels`.
+        #: see :meth:`_phase_advance_fast`.
         self.lanes_followed = 0
         self.sweep_visits = 0
         #: Fisher-Yates draws of the service-order shuffle
@@ -260,18 +257,14 @@ class WormholeEngine:
         self.shuffle_draws = 0
         self.alloc_scans = 0
         #: Channels with at least one owned lane, in reverse-topological
-        #: order (fast path's working set for Phase B).
+        #: order, but for the wires of free-running, parked and following
+        #: lanes (fast path's working set for Phase B).
         self._active: list[PhysChannel] = []
         #: channel -> [(wake token, packet)] registrations of blocked
         #: headers waiting for one of its lanes to free (fast path).
         self._waiters: dict[PhysChannel, list[tuple[int, Packet]]] = {}
-        #: Worms that may move a flit this cycle (fast path, per-worm
-        #: Phase B): a worm that moved nothing is dropped -- with
-        #: worm-private 1-flit buffers it provably stays stalled until
-        #: Phase A grants its header a new lane, which re-adds it.
-        self._moving: list[Packet] = []
-        #: Free-run fast-forward ledger (per-worm Phase B): the due
-        #: actions the action merge replays, and the span horizon.
+        #: Free-run fast-forward ledger: the due actions the sweep's
+        #: action merge replays, and the span horizon.
         self._ledger = FreeRunLedger()
         #: The ledger's live free-running worms (truthy while any
         #: stream; progress/watchdog accounting).
@@ -280,38 +273,28 @@ class WormholeEngine:
         #: (per-channel cooldown is channel-sweep bookkeeping).  Any
         #: channel order will do: a streaming worm's buffers settle
         #: into the pattern that order sets (see :meth:`_enter_lazy`).
+        #: Only worms whose every held wire is solo free-run (see
+        #: :meth:`_enter_solo`).
         self._free_run = all(
             ch.slowdown == 1 for ch in network.topo_channels
         )
-        single_lane = all(len(ch.lanes) == 1 for ch in network.topo_channels)
-        #: Per-worm Phase B additionally needs every route to follow
-        #: the topological channel order (``worm_phase_ok``; the direct
-        #: topologies' adaptive routing defies it) and single-lane
-        #: wires (TMIN/DMIN/BMIN).  The VMIN's virtual channels couple
-        #: the worms sharing a wire through the round-robin arbiter, so
-        #: it keeps the channel sweep, as do the direct fabrics; there
-        #: only worms whose every held wire is solo free-run (see
-        #: :meth:`_enter_solo`).
-        self._worm_mode = (
-            self._free_run and network.worm_phase_ok and single_lane
+        #: No wire carries a second lane, so no round robin couples
+        #: the worms (the TMIN/DMIN/BMIN and the direct fabrics).
+        self._single_lane = single_lane = all(
+            len(ch.lanes) == 1 for ch in network.topo_channels
         )
         #: The channel sweep parks blocked, compressed worms (see
-        #: :meth:`_park`) where the per-worm sweep does not run and a
-        #: visit to a wire with no ready lane changes nothing: no
-        #: slowed wire counts visits down, and no round robin shares a
-        #: wire (today the direct fabrics).
-        self._parking = (
-            self._free_run and single_lane and not self._worm_mode
-        )
-        #: The channel sweep lets full body lanes alone on their wire
-        #: follow their downstream lane's move (see
-        #: :meth:`_phase_advance_channels`) where it visits every route
-        #: downstream first and no slowed wire counts visits down: the
-        #: multi-lane networks whose routes follow the channel order
-        #: (today the VMIN).
-        self._following = (
-            self._free_run and network.worm_phase_ok and not single_lane
-        )
+        #: :meth:`_park`) where a visit to a wire with no ready lane
+        #: changes nothing: no slowed wire counts visits down, and no
+        #: round robin shares a wire (the TMIN/DMIN/BMIN and the direct
+        #: fabrics).
+        self._parking = self._free_run and single_lane
+        #: The channel sweep lets body lanes alone on their wire follow
+        #: (see :meth:`_phase_advance_fast`) where it visits every
+        #: route downstream first (``worm_phase_ok``; the direct
+        #: fabrics' routes defy the channel order) and no slowed wire
+        #: counts visits down: the four MINs.
+        self._following = self._free_run and network.worm_phase_ok
         #: Set by every following sweep; a hot sink attaching then puts
         #: the followers back on ``_active`` (:meth:`_rejoin_followers`).
         self._followed = False
@@ -341,6 +324,10 @@ class WormholeEngine:
             sanitize = sanitize_enabled()
         if sanitize:
             self.sanitizer = Sanitizer(network)
+        #: The sweep may hand delivering worms on solo wires to the
+        #: ledger (no hot sink either): the sanitizer reads the lane
+        #: counters free-run leaves stale, so it switches this off.
+        self._solo = self._free_run and self.sanitizer is None
         #: The structured telemetry bus every state change publishes
         #: into (see :mod:`repro.obs.bus`).  With no sinks attached the
         #: hot path pays one hoisted flag read per cycle, nothing more.
@@ -691,7 +678,6 @@ class WormholeEngine:
         bus = self.bus
         obs = bus if bus.hot else None
         active = self._active
-        moving = self._moving
         now = self.env.now
         flips = self._flips
         if flips:
@@ -740,9 +726,6 @@ class WormholeEngine:
                 if not inj.in_active:
                     inj.in_active = True
                     insort(active, inj, key=_TOPO_ORDER)
-                p._moving = True
-                p._order = inj.topo_order
-                moving.append(p)
                 self._active_packets += 1
                 self._progressed = True
                 if obs is not None:
@@ -764,9 +747,10 @@ class WormholeEngine:
             # (With a hot bus sink the per-header block events must
             # still be published, so the full scan runs.)
             self.shuffle_draws += len(self._pending_route) - 1
-            if moving:
-                # Phase B may append a new header this cycle: settle
-                # the debt and draw this cycle's shuffle for real.
+            if active:
+                # A head lane on the sweep may append a new header this
+                # cycle: settle the debt and draw this cycle's shuffle
+                # for real.
                 if self._shuffle_debt:
                     self._flush_shuffles()
                 if len(self._pending_route) > 1:
@@ -825,6 +809,16 @@ class WormholeEngine:
                         waiters[ch] = [(token, p)]
                     else:
                         lst.append((token, p))
+                head = p.lanes[-1]
+                hch = head.channel
+                if not hch.in_active and head.owner is p and not p._parked:
+                    # The header arrived in the last sweep, which took
+                    # its lane off the list (``_following``): park the
+                    # worm, or list that lane again so that the sweep
+                    # walks the followers behind it.
+                    if not (self._parking and self._park(p)):
+                        hch.in_active = True
+                        insort(active, hch, key=_TOPO_ORDER)
                 if obs is not None:
                     obs.publish_block(now, p, usable)
                 sp_append(p)
@@ -845,12 +839,6 @@ class WormholeEngine:
             if not ch.in_active:
                 ch.in_active = True
                 insort(active, ch, key=_TOPO_ORDER)
-            p._order = ch.topo_order
-            if not p._moving:
-                # A granted header can move again (and, once stalled,
-                # only a grant can unstick it): back on the worm list.
-                p._moving = True
-                moving.append(p)
             if p._parked:
                 self._unpark(p)
             self.network.advance(p, ch)
@@ -861,34 +849,7 @@ class WormholeEngine:
         self._pending_route = still_pending
 
     def _phase_advance_fast(self) -> None:
-        """Phase B, fast path: per-worm sweep or active-channel sweep.
-
-        On single-lane networks whose routes follow the channel order
-        (``_worm_mode``), with no hot bus sink, the per-worm sweep
-        (:meth:`_phase_advance_worms`) visits only worms that can still
-        move; otherwise (VMIN's multi-lane wires, the direct fabrics,
-        or a tracer demanding the exact per-channel event order) the
-        channel sweep runs.  Both sweeps hand worms to the free-run
-        ledger unless a hot sink needs real per-flit state, in which
-        case every free-running worm is materialized and every
-        following lane rejoins the channel sweep first.  Both
-        orderings move the same flits and emit the same observable
-        state, so flipping between them mid-run -- a tracer attaching,
-        say -- is safe.
-        """
-        if not self.bus.hot:
-            if self._worm_mode:
-                self._phase_advance_worms()
-                return
-        else:
-            if self._lazy_live:
-                self._materialize_lazy()
-            if self._followed:
-                self._rejoin_followers()
-        self._phase_advance_channels()
-
-    def _phase_advance_channels(self) -> None:
-        """Phase B over the active channel list only.
+        """Phase B, fast path: the sweep over the active channel list.
 
         ``_active`` holds every channel with an owned lane, in
         reverse-topological order (Phase A inserts on acquire; this
@@ -903,31 +864,48 @@ class WormholeEngine:
         Single-lane channels take an inlined copy of
         ``PhysChannel._lane_ready`` + ``_move``; multi-lane channels
         (the VMIN's virtual-channel wires) an inlined copy of
-        ``PhysChannel.transmit``'s ready-lane round robin.  Due
-        free-run actions merge into the sweep by channel topo key, as
-        in :meth:`_phase_advance_worms`; they only touch wires that are
-        off ``_active``, so no key ties with a visited channel.  A
-        blocked worm whose head lane the sweep finds not ready is a
-        parking candidate (see :meth:`_park`).
+        ``PhysChannel.transmit``'s ready-lane round robin.  An owned
+        lane has ``sent < length`` (it releases as its tail crosses),
+        so readiness reads only the two buffers.  Due free-run actions
+        merge into the sweep by channel topo key; they only touch wires
+        that are off ``_active``, so no key ties with a visited
+        channel.  A blocked worm whose head lane the sweep finds not
+        ready is a parking candidate (see :meth:`_park`).
 
         Following lanes (``_following``, no hot sink): a body lane --
-        owned, not its worm's newest lane -- alone on its wire with a
-        full buffer after its visit leaves the list.  Such a lane can
-        become ready only when its downstream lane drains it, and as
-        this sweep visits a route downstream first, nothing can change
-        its upstream buffer between that drain and its own visit.  So
-        it moves right after the drain, as the reference sweep would
-        at its visit: the walk after every move below.  A follower
-        whose upstream buffer is empty at the drain is a bubble that
-        its upstream lane's move will make ready; it rejoins the list
-        after the sweep, having nothing to do before then.
+        owned, not its worm's newest lane -- alone on its wire leaves
+        the list at its visit.  Its readiness reads only its own buffer
+        and the one upstream of it, which only its worm's own moves
+        change, and as this sweep visits a route downstream first, none
+        of those moves falls between the visit of its worm's nearest
+        listed lane downstream and its own.  So right after every visit
+        the sweep walks each owner's followers upstream, moving each
+        ready one as the reference sweep would at its visit, and going
+        on past those that cannot move (a full lane whose downstream
+        stalled, or a bubble with no flit to take).  A newest lane
+        alone on its wire whose header just reached the routing queue
+        leaves the list too, as it cannot move before Phase A routes
+        the header: the grant lists the new head lane (the old one now
+        follows), and a block parks the worm or lists the lane again.
+        On the TMIN/DMIN/BMIN only head lanes stay listed: a worm costs
+        one visit per cycle.
         """
-        pending = self._pending_route
-        bus = self.bus
-        obs = bus if bus.hot else None
-        now = self.env.now
+        if self.bus.hot:
+            # A hot sink reads real per-flit state in the reference's
+            # per-channel event order: unwind every free-run and
+            # following shortcut first (the same flits move either way,
+            # so a tracer may attach mid-run).
+            if self._lazy_live:
+                self._materialize_lazy()
+            if self._followed:
+                self._rejoin_followers()
+            obs = self.bus
+            follow = solo = False
+        else:
+            obs = None
+            follow = self._following
+            solo = self._solo
         active = self._active
-        self.sweep_visits += len(active)
         acts = None
         if self._lazy_live:
             # A live free-running worm delivers a flit every cycle.
@@ -938,25 +916,21 @@ class WormholeEngine:
                 acts.sort(key=_ACT_KEY)
             na = len(acts)
             nxt = acts[0][0]
+        elif not active:
+            return
         else:
             na = 0
             nxt = FAR
+        self.sweep_visits += len(active)
+        single = self._single_lane
+        # Worms that delivered a flit over a solo wire this cycle (the
+        # free-run candidates; where lanes follow, each is tried right
+        # after its walk, see ``cand``), blocked worms whose head lane
+        # could not move (the parking candidates), and followers found
+        # empty (bubbles, listed again after the sweep).
+        cands = parks = cand = bubbles = None
+        followed = 0
         ai = 0
-        # Worms that delivered a flit over a solo wire this cycle:
-        # the free-run candidates.
-        cands = (
-            []
-            if self._free_run and obs is None and self.sanitizer is None
-            else None
-        )
-        # Blocked worms whose head lane could not move: the parking
-        # candidates.
-        parks = [] if self._parking else None
-        follow = self._following and obs is None
-        if follow:
-            self._followed = True
-            bubbles = []
-            followed = 0
         write = 0
         for ch in active:
             if nxt < ch.topo_order:
@@ -972,35 +946,32 @@ class WormholeEngine:
                 continue
             active[write] = ch
             write += 1
+            if ch.cooldown:  # slowed wire resting (matches transmit())
+                ch.cooldown -= 1
+                continue
             lanes = ch.lanes
             dlv = ch.is_delivery
-            if len(lanes) == 1:
-                if ch.cooldown:  # slowed wire resting (matches transmit())
-                    ch.cooldown -= 1
-                    continue
+            if single:
                 lane = lanes[0]
                 p = lane.owner
+                plan = p.lanes
                 ridx = lane.route_idx
-                if (
-                    lane.sent >= p.length
-                    or (ridx > 0 and p.lanes[ridx - 1].buf == 0)
-                    or (lane.buf != 0 and not dlv)
-                ):
+                if (ridx and plan[ridx - 1].buf == 0) or (lane.buf and not dlv):
                     # Not ready this cycle.
-                    if (
-                        parks is not None
-                        and p._blk_usable is not None
-                        and ridx == len(p.lanes) - 1
-                    ):
-                        parks.append(p)
-                    elif follow and lane.buf and ridx != len(p.lanes) - 1:
+                    if ridx == len(plan) - 1:
+                        # A blocked header sits in its head lane's
+                        # buffer: a parking candidate.
+                        if p._blk_usable is not None and self._parking:
+                            if parks is None:
+                                parks = [p]
+                            else:
+                                parks.append(p)
+                    elif follow and lane.buf:
                         write -= 1  # a full body lane: it follows
                         ch.in_active = False
+                        self._followed = True
                     continue
             else:
-                if ch.cooldown:
-                    ch.cooldown -= 1
-                    continue
                 # Serve the first ready lane from ``rr_next`` on.
                 n = len(lanes)
                 i = ch.rr_next
@@ -1013,10 +984,8 @@ class WormholeEngine:
                     if p is None:
                         continue
                     ridx = lane.route_idx
-                    if (
-                        lane.sent >= p.length
-                        or (ridx > 0 and p.lanes[ridx - 1].buf == 0)
-                        or (lane.buf != 0 and not dlv)
+                    if (ridx and p.lanes[ridx - 1].buf == 0) or (
+                        lane.buf and not dlv
                     ):
                         continue
                     break
@@ -1030,258 +999,122 @@ class WormholeEngine:
                         if lane.buf and lane.route_idx != len(p.lanes) - 1:
                             write -= 1  # a full body lane: it follows
                             ch.in_active = False
+                            self._followed = True
                     continue
                 ch.rr_next = i
-            if ridx > 0:
-                p.lanes[ridx - 1].buf -= 1
+                plan = p.lanes
+            if ridx:
+                plan[ridx - 1].buf -= 1
             lane.sent += 1
-            if dlv:
-                p.delivered_flits += 1
-            else:
-                lane.buf += 1
             if ch.slowdown > 1:
                 ch.cooldown = ch.slowdown - 1
             self._progressed = True
             if obs is not None:
-                obs.publish_transmit(now, ch, lane)
+                obs.publish_transmit(self.env.now, ch, lane)
             if dlv:
+                p.delivered_flits += 1
                 if lane.sent == p.length:
                     lane.release()
                     self._lane_freed(ch)
                     if obs is not None:
-                        obs.publish_release(now, p, ch, lane.index)
+                        obs.publish_release(self.env.now, p, ch, lane.index)
                     self._finalize(p)
                     continue
-                if cands is not None and ch.owned_count == 1:
-                    cands.append(p)
+                if solo and ch.owned_count == 1:
+                    if follow:
+                        cand = p  # tried after its walk, below
+                    elif cands is None:
+                        cands = [p]
+                    else:
+                        cands.append(p)
             else:
-                if lane.sent == 1 and ridx == len(p.lanes) - 1:
-                    # Header just reached the next switch input buffer.
-                    p.needs_route = True
-                    pending.append(p)
+                lane.buf = 1
+                if ridx == len(plan) - 1:
+                    if lane.sent == 1:
+                        # Header just reached the next switch input.
+                        p.needs_route = True
+                        self._pending_route.append(p)
+                        if follow and ch.owned_count == 1:
+                            # Its lane cannot move again before Phase A
+                            # routes the header: off the list until
+                            # then (see _phase_allocate_fast).
+                            write -= 1
+                            ch.in_active = False
+                            self._followed = True
+                elif follow and ch.owned_count == 1:
+                    write -= 1  # a full body lane: it follows
+                    ch.in_active = False
+                    self._followed = True
                 if lane.sent == p.length:
+                    # The tail: every upstream lane already released.
                     lane.release()
                     self._lane_freed(ch)
                     if obs is not None:
-                        obs.publish_release(now, p, ch, lane.index)
-                    continue  # the tail: every upstream lane released
-                if (
-                    follow
-                    and ch.owned_count == 1
-                    and ridx != len(p.lanes) - 1
-                ):
-                    write -= 1  # a full body lane: it follows
-                    ch.in_active = False
+                        obs.publish_release(self.env.now, p, ch, lane.index)
+                    continue
             if not follow or not ridx:
                 continue
             # The followers upstream ride this move, each right after
             # the downstream move that drained it.
-            plan = p.lanes
-            length = p.length
             ridx -= 1
             up = plan[ridx]
             while up.owner is p and not up.channel.in_active:
                 if ridx:
                     feed = plan[ridx - 1]
                     if not feed.buf:
-                        bubbles.append(up.channel)
+                        # A bubble: its upstream lane's move makes it
+                        # ready, so it is listed again after the sweep.
+                        if bubbles is None:
+                            bubbles = [up.channel]
+                        else:
+                            bubbles.append(up.channel)
                         break
                     feed.buf -= 1
                 up.sent += 1
-                up.buf = 1
-                uch = up.channel
-                i = up.index + 1
-                uch.rr_next = i if i < len(uch.lanes) else 0
+                up.buf += 1
                 followed += 1
-                if up.sent == length:
+                if not single:
+                    uch = up.channel
+                    i = up.index + 1
+                    uch.rr_next = i if i < len(uch.lanes) else 0
+                if up.sent == p.length:
                     up.release()
-                    self._lane_freed(uch)
+                    self._lane_freed(up.channel)
                     break
                 if not ridx:
                     break
                 ridx -= 1
                 up = feed
+            if cand is p:
+                # A delivering worm on a solo wire, its walk done.
+                cand = None
+                if up.owner is not p or not up.channel.in_active:
+                    # The walk covered the worm, so every held wire is
+                    # solo and only this one is listed (a bubble upstream
+                    # fails the buffer pattern).
+                    if self._enter_lazy(p):
+                        write -= 1
+                        ch.in_active = False
+                elif cands is None:
+                    cands = [p]  # a lane upstream is still listed
+                else:
+                    cands.append(p)
         while ai < na:  # actions past the last active channel
             self._exec_lazy(acts[ai])
             ai += 1
         del active[write:]
-        if follow:
+        if followed:
             self.lanes_followed += followed
+        if bubbles is not None:
             for ch in bubbles:
                 ch.in_active = True
                 insort(active, ch, key=_TOPO_ORDER)
-        dropped = self._park(parks) if parks else False
-        if cands and self._enter_solo(cands):
-            dropped = True
-        if dropped:
-            active[:] = [ch for ch in active if ch.in_active]
-        # The worm list is not consumed on this branch (the channel
-        # sweep ignores it) but must stay consistent for a later switch
-        # to the per-worm sweep: compact out finished packets when the
-        # dead weight dominates, keep everything still flagged.
-        moving = self._moving
-        if len(moving) > 64 and len(moving) > (self._active_packets << 1):
-            self._moving = [p for p in moving if p._moving]
-
-    def _phase_advance_worms(self) -> None:
-        """Phase B per worm: visit only worms that can still move.
-
-        Valid when every channel has one lane and no hot bus sink is
-        attached (the dispatcher guarantees both).  Then a worm's flit
-        movement depends only on its own lanes' state, so Phase B
-        decomposes per worm: a worm that moves zero flits has reached a
-        fixed point of its own state and stays stalled until Phase A
-        grants its header a new lane -- drop it from the list; the
-        grant re-adds it.
-
-        One exception to that stall theorem: a tail release leaves the
-        released worm's last flit in the lane's 1-flit buffer, and a
-        header granted the lane in that window stalls on ``buf != 0``
-        until the *previous* owner's downstream move drains it -- an
-        unstall with no grant.  Such a worm (head lane with ``sent ==
-        0`` and a non-empty buffer, necessarily a foreign flit) stays
-        on the list and keeps polling; the drain resolves within a few
-        cycles.  It is also processed *after* the draining worm (whose
-        newest lane is strictly downstream), so the header crosses in
-        the drain's own cycle, exactly as the reference sweep has it.
-
-        Worms are processed by the topological order of their newest
-        lane, which reproduces the reference sweep's within-cycle
-        interleaving of header arrivals (``pending.append``) and
-        deliveries (``_finalize``): both events happen *on* that
-        lane's channel.  The runtime sanitizer cross-checks the stall
-        reasoning every cycle (``REPRO_SANITIZE=1``).
-        """
-        moving = self._moving
-        acts = (
-            self._ledger.pop_due(self.cycles_run) if self._lazy_live else None
-        )
-        if not moving and acts is None:
-            if self._lazy_live:
-                self._progressed = True  # free-running worms stream
-            return
-        if len(moving) > 1:
-            moving.sort(key=_WORM_ORDER)
-        if acts is not None:
-            if len(acts) > 1:
-                acts.sort(key=_ACT_KEY)
-            na = len(acts)
-        else:
-            na = 0
-        ai = 0
-        exec_lazy = self._exec_lazy
-        pending = self._pending_route
-        ACTIVE = PacketState.ACTIVE
-        lazy_ok = self.sanitizer is None
-        progressed = False
-        write = 0
-        for p in moving:
-            # Replay the scheduled free-run actions that the reference
-            # sweep would perform before this worm's newest channel.
-            while ai < na and acts[ai][0] <= p._order:
-                if exec_lazy(acts[ai]):
-                    progressed = True
-                ai += 1
-            if p.state is not ACTIVE:
-                # Aborted (or externally killed) since its last move.
-                p._moving = False
-                continue
-            # Move every ready flit of this worm, downstream lane
-            # first.  Its owned lanes form a suffix of ``p.lanes`` (the
-            # tail releases upstream lanes oldest-first), so the walk
-            # starts at the newest lane and stops at the first one it
-            # no longer owns; per-lane ready/move logic is the inlined
-            # single-lane body of ``PhysChannel._lane_ready`` +
-            # ``_move``, identical to the channel sweep's.  Only the
-            # newest lane can be a delivery lane, see a header arrival,
-            # or hold a foreign flit -- the body loop below skips those
-            # checks.
-            lanes = p.lanes
-            length = p.length
-            moved = False
-            n1 = len(lanes) - 1
-            head = lanes[n1]
-            if head.owner is p:
-                up = lanes[n1 - 1] if n1 else None
-                sent = head.sent
-                if sent < length and (up is None or up.buf):
-                    ch = head.channel
-                    if ch.is_delivery:
-                        if up is not None:
-                            up.buf -= 1
-                        sent += 1
-                        head.sent = sent
-                        p.delivered_flits += 1
-                        moved = True
-                        if sent == length:
-                            head.release()
-                            self._lane_freed(ch)
-                            self._finalize(p)
-                            progressed = True
-                            continue  # worm finished; drop it
-                    elif head.buf == 0:
-                        if up is not None:
-                            up.buf -= 1
-                        sent += 1
-                        head.sent = sent
-                        head.buf = 1
-                        moved = True
-                        if sent == 1:
-                            # Header just reached the next switch input.
-                            p.needs_route = True
-                            pending.append(p)
-                        if sent == length:
-                            head.release()
-                            self._lane_freed(ch)
-                i = n1 - 1
-                lane = up
-                while i >= 0 and lane.owner is p:
-                    up = lanes[i - 1] if i else None
-                    sent = lane.sent
-                    if (
-                        sent < length
-                        and lane.buf == 0
-                        and (up is None or up.buf)
-                    ):
-                        if up is not None:
-                            up.buf -= 1
-                        sent += 1
-                        lane.sent = sent
-                        lane.buf = 1
-                        moved = True
-                        if sent == length:
-                            lane.release()
-                            self._lane_freed(lane.channel)
-                    i -= 1
-                    lane = up
-            if moved:
-                progressed = True
-                if (
-                    lazy_ok
-                    and head.channel.is_delivery
-                    and head.owner is p
-                    and self._enter_lazy(p)
-                ):
-                    continue  # free-running: scheduled actions take over
-                moving[write] = p
-                write += 1
-            elif head.owner is p and head.sent == 0 and head.buf != 0:
-                # The previous owner's tail flit still sits in the head
-                # lane's buffer; its drain (that worm moving, not a
-                # grant) unstalls this one -- keep polling.
-                moving[write] = p
-                write += 1
-            else:
-                p._moving = False  # stalled until the next grant
-        while ai < na:  # actions past the last moving worm's channel
-            if exec_lazy(acts[ai]):
-                progressed = True
-            ai += 1
-        del moving[write:]
-        if self._lazy_live:
-            progressed = True  # free-running worms stream every cycle
-        if progressed:
-            self._progressed = True
+        if parks is not None:
+            for p in parks:
+                if p._blk_usable is not None:  # else woken later on
+                    self._park(p)
+        if cands is not None:
+            self._enter_solo(cands)
 
     def _enter_lazy(self, p: Packet) -> bool:
         """Try to switch a delivery-phase worm to free-run fast-forward.
@@ -1296,18 +1129,16 @@ class WormholeEngine:
         of revisiting the worm each cycle, schedule its future
         *observable* effects -- each lane's tail release, each released
         full buffer's final drain, the delivery -- as topo-keyed
-        actions in the free-run ledger and drop it from the moving
-        list.  The action merge in
-        :meth:`_phase_advance_worms` replays them at exactly the
-        reference sweep's cycle and within-cycle position, so the
-        schedule stays bit-identical.  Buffers need no bookkeeping in
+        actions in the free-run ledger and take its wires off the
+        sweep.  The action merge in :meth:`_phase_advance_fast`
+        replays them at exactly the reference sweep's cycle and
+        within-cycle position, so the schedule stays bit-identical.  Buffers need no bookkeeping in
         between: a cycle in which every owned lane moves drains and
         refills a full buffer, and fills and drains an empty one, so
         the frozen pattern *is* the reference end-of-cycle state.
 
-        Both Phase B sweeps call this: the per-worm walk for any worm
-        it moved, the channel sweep (through :meth:`_enter_solo`) for a
-        worm whose every held wire is solo.  Disabled under the runtime
+        The sweep calls this (through :meth:`_enter_solo`) for a worm
+        whose every held wire is solo.  Disabled under the runtime
         sanitizer, whose per-cycle sweeps read the per-lane counters
         this mode leaves stale; an abort, a lane grant that shares one
         of the worm's wires, or a hot bus sink restores real state
@@ -1335,10 +1166,9 @@ class WormholeEngine:
         self._ledger.add(p, s, n1, c, c + p.length - head.sent)
         p._lz_base = c
         p._lz_sent0 = head.sent
-        p._moving = False
         return True
 
-    def _enter_solo(self, cands: list) -> bool:
+    def _enter_solo(self, cands: list) -> None:
         """Channel sweep: free-run the delivering worms on solo wires.
 
         A worm whose every held wire has no other owned lane moves
@@ -1347,75 +1177,84 @@ class WormholeEngine:
         either, because a compressed pipeline moves every owned lane in
         every cycle, which sets each wire's pointer to the same value
         the frozen one already holds.  Entering worms' wires leave
-        ``_active`` (the ledger drives them now; returns True when any
-        did, and the caller compacts the list); a grant that shares
-        one of them brings the worm back via :meth:`_couple`.
+        ``_active`` (the ledger drives them now); a grant that shares
+        one of them brings the worm back via :meth:`_couple`.  Where
+        lanes follow, a candidate whose walk covered it has already
+        been tried inside the sweep; the rest come here after it.
         """
-        dropped = False
         for p in cands:
-            # The head's delivery wire is solo; walk the owned lanes
-            # upstream of it (a suffix of ``p.lanes``) for a shared
-            # wire, the cheap rejection (``_enter_lazy`` checks the
-            # buffers).
             lanes = p.lanes
             i = len(lanes) - 2
-            while i >= 0:
-                lane = lanes[i]
-                if lane.owner is not p or lane.channel.owned_count != 1:
-                    break
-                i -= 1
-            if (i >= 0 and lanes[i].owner is p) or not self._enter_lazy(p):
-                continue
-            for lane in lanes[i + 1:]:
-                lane.channel.in_active = False
-            dropped = True
-        return dropped
+            if not self._single_lane:
+                # The head's delivery wire is solo; walk the owned
+                # lanes upstream of it (a suffix of ``p.lanes``) for a
+                # shared wire, the cheap rejection (``_enter_lazy``
+                # checks the buffers).
+                while i >= 0:
+                    lane = lanes[i]
+                    if lane.owner is not p or lane.channel.owned_count != 1:
+                        break
+                    i -= 1
+                if i >= 0 and lanes[i].owner is p:
+                    continue
+            if self._enter_lazy(p):
+                self._unlist(p)
 
-    def _park(self, worms: list) -> bool:
-        """Channel sweep: park the blocked worms that cannot move.
+    def _park(self, p: Packet) -> bool:
+        """Park the blocked worm ``p`` if it cannot move.
 
         A worm whose header is blocked with a cached decision and none
-        of whose owned lanes passes the sweep's ready rule at the end
-        of the sweep cannot move until Phase A grants its header: its
-        readiness reads only its own lanes' counters and buffers (and
-        the tail flit its oldest owned lane feeds from, which no other
-        worm can touch), and only its own moves, a grant or an abort
-        change those.  Visiting its wires would change nothing (no
-        slowed wire, no shared round robin: see ``_parking``), so they
-        leave ``_active`` until :meth:`_unpark` at the grant; an abort
-        simply releases them.  Returns True when any worm parked (the
-        caller compacts the list).
+        of whose owned lanes passes the sweep's ready rule between
+        sweeps cannot move until Phase A grants its header: its
+        readiness reads only its own lanes' buffers (and the tail flit
+        its oldest owned lane feeds from, which no other worm can
+        touch), and only its own moves, a grant or an abort change
+        those.  Visiting its wires would change nothing (no slowed
+        wire, no shared round robin: see ``_parking``), so they leave
+        ``_active`` until :meth:`_unpark` at the grant; an abort simply
+        releases them.  Returns True when the worm parked.
         """
-        parked = False
-        for p in worms:
-            if p._blk_usable is None:
-                continue  # woken later in this sweep: a grant may be near
-            lanes = p.lanes
-            length = p.length
-            i = len(lanes) - 1
-            # Owned lanes are a suffix of ``p.lanes``, none of them a
-            # delivery lane (the header still routes).
-            while i >= 0 and lanes[i].owner is p:
-                lane = lanes[i]
-                if (
-                    lane.sent < length
-                    and lane.buf == 0
-                    and (i == 0 or lanes[i - 1].buf)
-                ):
-                    break  # a ready lane: the pipeline still compresses
-                i -= 1
-            else:
-                for lane in lanes[i + 1:]:
-                    lane.channel.in_active = False
-                p._parked = True
-                parked = True
-                self.worms_parked += 1
-        return parked
+        lanes = p.lanes
+        i = len(lanes) - 1
+        listed = False
+        # Owned lanes are a suffix of ``p.lanes``, none of them a
+        # delivery lane (the header still routes).
+        while i >= 0:
+            lane = lanes[i]
+            if lane.owner is not p:
+                break
+            if lane.buf == 0 and (i == 0 or lanes[i - 1].buf):
+                return False  # a ready lane: the pipeline still compresses
+            if lane.channel.in_active:
+                listed = True
+            i -= 1
+        if listed:
+            self._unlist(p)
+        p._parked = True
+        self.worms_parked += 1
+        return True
+
+    def _unlist(self, p: Packet) -> None:
+        """Between sweeps: take the wires of ``p``'s owned lanes off
+        ``_active`` (the compacted list holds exactly the channels
+        flagged ``in_active``, in topo order)."""
+        active = self._active
+        for lane in reversed(p.lanes):
+            if lane.owner is not p:
+                break
+            ch = lane.channel
+            if ch.in_active:
+                ch.in_active = False
+                del active[bisect_left(active, ch.topo_order, key=_TOPO_ORDER)]
 
     def _unpark(self, p: Packet) -> None:
         """Phase A granted a parked worm's header: its wires rejoin
-        ``_active`` (see :meth:`_park`)."""
+        ``_active`` (see :meth:`_park`).  Where body lanes follow
+        (no hot sink), they stay off it: the grant lists the new head
+        lane, and the sweep walks the rest from there."""
         p._parked = False
+        if self._following and not self.bus.hot:
+            return
         active = self._active
         lanes = p.lanes
         for i in range(len(lanes) - 1, -1, -1):
@@ -1432,29 +1271,31 @@ class WormholeEngine:
 
         If its owner free-runs, the owner's lane on ``ch`` will now lose
         round-robin turns, so its ledger schedule no longer holds:
-        materialize it (which puts its wires back on ``_active``) and
-        return it to the worm list.  A following lane's real state
-        needs nothing: the grant's own insort puts the wire back.
+        materialize it (which puts its wires back on ``_active``).  A
+        following lane's real state needs nothing: the grant's own
+        insort puts the wire back.
         """
         for lane in ch.lanes:
             p = lane.owner
             if p is not None:
                 if p._lz_base >= 0:
                     self._materialize_worm(p)
-                    p._moving = True
-                    self._moving.append(p)
                 return
 
     def _rejoin_followers(self) -> None:
         """A hot sink needs the reference's per-channel event order:
         every following lane's wire rejoins ``_active``, once, at the
-        switch.  Free-running worms are materialized first, and no
-        network both follows and parks, so every owned wire off the
-        list is a follower's."""
+        switch.  Free-running worms are materialized first, so every
+        owned wire off the list is a follower's or a parked worm's;
+        the latter stay off (a parked worm can still not move, and its
+        grant lists its wires again, see :meth:`_unpark`)."""
         self._followed = False
         active = self._active
+        parking = self._parking
         for ch in self.network.topo_channels:
             if ch.owned_count and not ch.in_active:
+                if parking and ch.lanes[0].owner._parked:
+                    continue
                 ch.in_active = True
                 active.append(ch)
         active.sort(key=_TOPO_ORDER)
@@ -1524,18 +1365,13 @@ class WormholeEngine:
         self._ledger.remove(p)
 
     def _materialize_lazy(self) -> None:
-        """Unwind every free-run shortcut (the channel sweep takes over).
+        """Unwind every free-run shortcut.
 
-        The channel sweep -- and any bus sink it feeds -- reads real
-        lane state, so all fast-forwarded worms must be materialized
-        first.  They rejoin the moving list so a later switch back to
-        the per-worm sweep picks them up.
+        A hot bus sink reads real lane state, so all fast-forwarded
+        worms must be materialized first.
         """
-        moving = self._moving
         for p in list(self._lazy_live):  # entry order
             self._materialize_worm(p)
-            p._moving = True
-            moving.append(p)
         self._ledger.clear()
 
     def _lane_freed(self, ch: PhysChannel) -> None:
@@ -1644,14 +1480,12 @@ class WormholeEngine:
         p.state = PacketState.FAILED
         p.needs_route = False
         # Invalidate any blocked-header cache state (fast path): stale
-        # waiter registrations die via the token bump.  The worm-list
-        # flag drops too; the entry itself is compacted out lazily.  A
-        # parked worm's wires are off ``_active`` and now unowned.
+        # waiter registrations die via the token bump.  A parked worm's
+        # wires are off ``_active`` and now unowned.
         if p._blk_usable is not None:
             self._blk_valid -= 1
             p._blk_usable = None
         p._blk_token += 1
-        p._moving = False
         p._parked = False
         self._active_packets -= 1
         self.stats.failed_packets += 1
@@ -1661,7 +1495,6 @@ class WormholeEngine:
     def _finalize(self, p: Packet) -> None:
         p.state = PacketState.DELIVERED
         p.delivered_at = self.env.now
-        p._moving = False  # worm-list entry compacts out lazily
         self._active_packets -= 1
         self.stats.delivered_packets += 1
         self.stats.delivered_flits += p.length
@@ -1758,10 +1591,9 @@ class WormholeEngine:
         A cycle is a provable no-op -- no RNG draw, no state change, no
         bus event -- exactly when nothing can inject (``_inj_ready``
         empty, no fault flip undrained), nothing moves outside the
-        ledger (``_moving`` empty in the per-worm walk, no owned
-        channel on ``_active`` in the channel sweep: parked worms'
-        wires are off it, and a following lane's worm keeps its
-        newest lane on it), every pending header is provably still
+        ledger (no owned channel on ``_active``: parked worms' wires
+        are off it, and a following lane's worm keeps its newest lane
+        on it), every pending header is provably still
         blocked (cache-hit exits; their shuffle draws become debt, see
         below), no free-run action is due (the ledger's next-due
         horizon), and no per-cycle observer runs (sanitizer / watchdogs
@@ -1780,13 +1612,9 @@ class WormholeEngine:
             or self.watchdog is not None
         ):
             return 1
-        if self._worm_mode:
-            if self._moving:
+        for ch in self._active:
+            if ch.owned_count:
                 return 1
-        else:
-            for ch in self._active:
-                if ch.owned_count:
-                    return 1
         pending = self._pending_route
         if pending and self._blk_valid != len(pending):
             # Some pending header is not provably blocked: the full

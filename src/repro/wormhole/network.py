@@ -48,10 +48,11 @@ class SimNetwork:
     fault_epoch: FaultEpoch
 
     #: True when routes acquire channels in ascending topological
-    #: order, the precondition of the engine's per-worm Phase B.  The
+    #: order, the precondition of the fast engine's following lanes
+    #: (moved in a walk upstream from their worm's newest lane).  The
     #: MINs satisfy it by construction; the direct topologies
-    #: (adaptive routing, cyclic full CDG) opt out and keep the
-    #: bit-identical channel sweep (free-run does not need it).
+    #: (adaptive routing, cyclic full CDG) opt out and keep every
+    #: owned lane on the sweep (free-run does not need it).
     worm_phase_ok = True
 
     def injection_channel(self, node: int) -> PhysChannel:

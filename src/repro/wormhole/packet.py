@@ -56,9 +56,7 @@ class Packet:
         "_sanitize_aborting",
         "_blk_usable",
         "_blk_token",
-        "_moving",
         "_parked",
-        "_order",
         "_lz_base",
         "_lz_sent0",
         "_lz_token",
@@ -112,20 +110,11 @@ class Packet:
         # lane release or a fault flip on any candidate wakes it).
         self._blk_usable: Optional[list] = None
         self._blk_token = 0
-        #: True while the worm sits on the fast engine's per-worm
-        #: advance list (see ``WormholeEngine._phase_advance_worms``);
-        #: cleared when it stalls, delivers, or aborts.
-        self._moving = False
         #: True while the fast engine's channel sweep holds this
         #: blocked worm's wires off its active list (see
         #: ``WormholeEngine._park``); cleared by its header's grant or
         #: an abort.
         self._parked = False
-        #: ``topo_order`` of the newest acquired lane's channel -- the
-        #: fast engine's worm-list sort key, maintained at its two
-        #: acquire sites (injection and route grant) so sorting uses a
-        #: C-level attrgetter instead of chasing ``lanes[-1].channel``.
-        self._order = 0
 
         # Free-run fast-forward state (see
         # ``WormholeEngine._enter_lazy`` and

@@ -94,8 +94,6 @@ class Sanitizer:
         self._check_packets(engine)
         if engine.fast:
             self._check_active_list(engine)
-            if engine._worm_mode and not engine.bus.hot:
-                self._check_moving(engine)
 
     def _check_active_list(self, engine: "WormholeEngine") -> None:
         """Fast-path invariants: active list, parked worms, header caches.
@@ -103,12 +101,17 @@ class Sanitizer:
         * every channel with an owned lane is on the active list unless
           a parked worm or a following lane owns it, and no parked
           worm's wire is on it (a miss would silently freeze a worm).
-          A following lane must be owned, not its worm's newest lane,
-          alone on its wire and hold a full buffer, on an engine that
-          follows and has no hot sink (see
-          ``WormholeEngine._phase_advance_channels``).  A free-running
-          worm's wires leave the list too, which is why the engine
-          never free-runs a worm under the sanitizer;
+          On an engine that follows and has no hot sink (see
+          ``WormholeEngine._phase_advance_fast``), two more owned
+          lanes alone on their wire may be off it: a following lane
+          (owned, not its worm's newest lane, its buffer full), whose
+          worm's newest lane is listed or has just passed its header
+          on (the sweep walks followers only from a listed lane of
+          their worm); and a worm's newest lane whose header reached
+          the routing queue in this cycle's sweep (waiting, not yet
+          cached as blocked).  A
+          free-running worm's wires leave the list too, which is why
+          the engine never free-runs a worm under the sanitizer;
         * the list is sorted by ``topo_order`` with no duplicates (the
           advance order must match the reference scan's);
         * each parked worm is ACTIVE, its header waits in the routing
@@ -129,6 +132,7 @@ class Sanitizer:
         if orders != sorted(orders):
             self._fail(f"fast path: active list out of topo order: {orders}")
         parked: dict[int, "Packet"] = {}
+        pending = {id(p) for p in engine._pending_route}
         for ch in self.network.topo_channels:
             on_list = id(ch) in listed
             if on_list != ch.in_active:
@@ -147,12 +151,8 @@ class Sanitizer:
                     )
                 for p in owners:
                     parked[id(p)] = p
-            elif not on_list and not self._following(engine, ch):
-                self._fail(
-                    f"{ch.label}: owned_count={ch.owned_count} but the "
-                    "channel is missing from the fast path's active list"
-                )
-        pending = {id(p) for p in engine._pending_route}
+            elif not on_list:
+                self._check_unlisted(engine, ch, pending)
         for p in parked.values():
             if p.state is not PacketState.ACTIVE:
                 self._fail(f"pkt#{p.pid}: parked in state {p.state.value}")
@@ -198,52 +198,38 @@ class Sanitizer:
                             f"{ch.label}.{lane.index} is free"
                         )
 
-    @staticmethod
-    def _following(engine: "WormholeEngine", ch) -> bool:
-        """Is the owned wire ``ch``, off the active list, a following
-        lane's?"""
-        if not engine._following or engine.bus.hot or ch.owned_count != 1:
-            return False
-        lane = next(lane for lane in ch.lanes if lane.owner is not None)
-        return lane.buf == 1 and lane.route_idx < len(lane.owner.lanes) - 1
-
-    def _check_moving(self, engine: "WormholeEngine") -> None:
-        """Per-worm Phase B invariants: nothing sleeps that could move.
-
-        A worm dropped from the moving list must be genuinely stalled:
-        none of its owned lanes may satisfy the ready condition (a
-        ready lane on a sleeping worm would freeze its flits forever).
-        The list flag must also agree with actual list membership for
-        every in-flight worm.
-        """
-        from repro.wormhole.packet import PacketState
-
-        listed = {id(p) for p in engine._moving}
-        for p in engine.in_flight_packets():
-            if p.state is not PacketState.ACTIVE:
-                continue
-            if p._moving != (id(p) in listed):
+    def _check_unlisted(
+        self, engine: "WormholeEngine", ch, pending: set
+    ) -> None:
+        """The owned wire ``ch`` is off the active list and no parked
+        worm owns it: it must carry a following lane or a lane whose
+        header just arrived (see :meth:`_check_active_list`)."""
+        if engine._following and not engine.bus.hot and ch.owned_count == 1:
+            lane = next(lane for lane in ch.lanes if lane.owner is not None)
+            p = lane.owner
+            head = p.lanes[-1]
+            arrived = (
+                p.needs_route and p._blk_usable is None and id(p) in pending
+            )
+            if lane is not head:
+                if not lane.buf:
+                    self._fail(
+                        f"{ch.label}: an empty body lane of pkt#{p.pid} "
+                        "is off the active list"
+                    )
+                if head.channel.in_active or arrived:
+                    return
                 self._fail(
-                    f"pkt#{p.pid}: _moving={p._moving} disagrees with "
-                    "actual worm-list membership"
+                    f"{ch.label}: a following lane of pkt#{p.pid}, whose "
+                    f"newest lane {head.channel.label} is off the active "
+                    "list"
                 )
-            if p._moving:
-                continue
-            lanes = p.lanes
-            for i in range(len(lanes) - 1, -1, -1):
-                lane = lanes[i]
-                if lane.owner is not p:
-                    break
-                if (
-                    lane.sent >= p.length
-                    or (i > 0 and lanes[i - 1].buf == 0)
-                    or (lane.buf != 0 and not lane.channel.is_delivery)
-                ):
-                    continue
-                self._fail(
-                    f"pkt#{p.pid}: off the moving list but "
-                    f"{lane.channel.label} is ready to move a flit"
-                )
+            if arrived:
+                return
+        self._fail(
+            f"{ch.label}: owned_count={ch.owned_count} but the channel is "
+            "missing from the fast path's active list"
+        )
 
     def _check_channels(self) -> None:
         for ch in self.network.topo_channels:

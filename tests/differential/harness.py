@@ -10,7 +10,8 @@ measurement windows.
 
 ``reference`` is the oracle: one kernel wake per cycle, full scans,
 stdlib draws.  Both tiers share the kernel's one event queue.  The
-optimized ``fast`` tier (active-set allocation, per-worm advance, free-run
+optimized ``fast`` tier (active-set allocation, one active-channel sweep
+with parked and following lanes, free-run
 ledger, deferred service-order shuffles, span-sleep clock with inline
 ticks, prefetched allocation stream) must match it on every simulation
 observable: measurement window, all engine counters, delivery records,
@@ -118,10 +119,12 @@ def run_case(
 
     ``sink`` attaches a bus sink before the run, or -- with
     ``sink_at`` -- mid-run, at that simulated time; the sink's
-    ``free_running_at_attach`` and ``following_at_attach`` then record
-    how many worms the engine was free-running and how many lanes were
-    following (see :func:`following_lanes`) at that instant (always 0
-    on the reference tier).
+    ``free_running_at_attach``, ``following_at_attach`` and
+    ``parked_at_attach`` then record how many worms the engine was
+    free-running, how many lanes were following (see
+    :func:`following_lanes`) and how many worms were parked (see
+    :func:`parked_worms`) at that instant (always 0 on the reference
+    tier).
 
     ``overload`` installs a deliberately tight
     :class:`~repro.stability.BoundedQueue` in the named admission mode
@@ -286,11 +289,18 @@ def following_lanes(eng) -> int:
     )
 
 
+def parked_worms(eng) -> int:
+    """In-flight worms whose wires the fast tier's channel sweep has
+    parked (0 on the reference tier)."""
+    return sum(1 for p in eng.in_flight_packets() if p._parked)
+
+
 def _attach_at(env, eng, sink, at: float):
     """Process: attach ``sink`` to the engine's bus at time ``at``."""
     yield env.timeout(at)
     sink.free_running_at_attach = len(eng._lazy_live)
     sink.following_at_attach = following_lanes(eng)
+    sink.parked_at_attach = parked_worms(eng)
     eng.bus.attach(sink)
 
 

@@ -56,7 +56,8 @@ def test_sanitized_identity(kind: str, pattern: str) -> None:
 
     Both runs self-check the engine invariants every cycle, and the
     fast path runs with its free-run shortcut disabled -- so this also
-    certifies the per-worm sweep without fast-forwarding.
+    certifies the channel sweep's parking and following without
+    fast-forwarding.
     """
     assert_identical(kind, pattern, 0.6, sanitize=True)
 

@@ -66,40 +66,48 @@ CFG_STREAM = replace(
 
 
 @pytest.mark.parametrize(
-    "kind, net_kwargs",
+    "kind, net_kwargs, load, at",
     (
-        pytest.param("dmin", None, id="dmin"),
-        pytest.param("vmin", None, id="vmin"),
+        pytest.param("dmin", None, 0.2, 1500.0, id="dmin"),
+        pytest.param("vmin", None, 0.2, 1500.0, id="vmin"),
         pytest.param(
-            "torus3d", {"k": 4, "n": 3, "router": "adaptive"}, id="torus3d"
+            "torus3d", {"k": 4, "n": 3, "router": "adaptive"}, 0.2, 1500.0,
+            id="torus3d",
         ),
+        pytest.param("dmin", None, 0.8, 1400.0, id="dmin-loaded"),
     ),
 )
 def test_event_stream_identity_mid_run_attach(
-    kind: str, net_kwargs, monkeypatch
+    kind: str, net_kwargs, load: float, at: float, monkeypatch
 ) -> None:
     """A hot sink attaching while worms free-run: the fast tier must
     materialize them (on the VMIN and the torus, put their wires back
     on the channel sweep; on the torus, from buffers that are not all
-    full), and on the VMIN put its following lanes back on the sweep
+    full), and on the MINs put their following lanes back on the sweep
     too, so the transmit log from the attach on matches the
-    reference's, with every observable bit-identical.  (The sanitizer
-    switches free-run off, so this case always runs without it.)"""
+    reference's, with every observable bit-identical.  On the loaded
+    DMIN, worms are also parked at the attach, whose wires stay off the
+    sweep until their grants.  (The sanitizer switches free-run off, so
+    this case always runs without it.)"""
     monkeypatch.delenv("REPRO_SANITIZE", raising=False)
-    at = 1500.0
     rec_ref = EventRecorder()
     snap_ref = run_case(
-        kind, "uniform", 0.2, "reference", sink=rec_ref, sink_at=at,
+        kind, "uniform", load, "reference", sink=rec_ref, sink_at=at,
         run_cfg=CFG_STREAM, net_kwargs=net_kwargs,
     )
     rec = EventRecorder()
     snap = run_case(
-        kind, "uniform", 0.2, "fast", sink=rec, sink_at=at,
+        kind, "uniform", load, "fast", sink=rec, sink_at=at,
         run_cfg=CFG_STREAM, net_kwargs=net_kwargs,
     )
     assert rec.free_running_at_attach > 0, "no worm free-ran at the attach"
     if kind == "vmin":
         # ... and lanes were following, which must rejoin the sweep.
+        assert rec.following_at_attach > 0, "no lane followed at the attach"
+    if load >= 0.6:
+        # A MIN both parks and follows: both kinds of wire are off the
+        # sweep at once.
+        assert rec.parked_at_attach > 0, "no worm was parked at the attach"
         assert rec.following_at_attach > 0, "no lane followed at the attach"
     assert strip_kernel_counters(snap) == strip_kernel_counters(snap_ref)
     assert any(e[0] == "transmit" for e in rec.events)

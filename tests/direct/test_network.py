@@ -195,6 +195,6 @@ def test_validation():
 
 
 def test_worm_phase_stays_off():
-    """The engine's per-worm Phase B assumes ascending topo order,
+    """The engine's following lanes assume ascending topo order,
     which adaptive acquisition violates; DirectNetwork opts out."""
     assert DirectNetwork.worm_phase_ok is False

@@ -32,7 +32,8 @@ def _count(eng, name: str) -> list:
 
 def test_light_load_vmin_spans_and_free_runs(default_tier):
     env, eng = streaming_point(kind="vmin")
-    assert not eng._worm_mode and eng._free_run
+    # Shared round robins: body lanes follow, but no worm parks.
+    assert eng._free_run and eng._following and not eng._parking
     entries = _count(eng, "_enter_lazy")
     eng.start()
     env.run(until=CYCLES)
