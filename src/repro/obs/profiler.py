@@ -15,8 +15,11 @@ slowdown factor vs. the modelled hardware).  It also reports how many
 cycles the engine's span-sleep clock credited without executing them
 (``cycles_skipped``, ``span_skip_ratio``) and its channel-sweep path
 counters: blocked worms parked (``worms_parked``), flits moved by
-following lanes (``lanes_followed``) and channel visits
-(``sweep_visits``), and its Phase A counters: service-order
+following lanes (``lanes_followed``), channel visits
+(``sweep_visits``), the visits to multi-lane wires that found no lane
+ready (``sweep_idle``; on the VMIN every visit that moved no flit) and
+the shared wires that left the sweep because every owner sleeps
+(``wires_slept``), and its Phase A counters: service-order
 Fisher-Yates draws (``shuffle_draws``) and full allocation scans
 (``alloc_scans``).  A hot bus sink switches span sleep, free-run and
 following off, so the engine runs the exact-event-order channel sweep;
@@ -42,7 +45,7 @@ CYCLE_MICROSECONDS = 0.05
 #: Engine path counters the profiler reports as window deltas.
 ENGINE_COUNTERS = (
     "cycles_skipped", "worms_parked", "lanes_followed", "sweep_visits",
-    "shuffle_draws", "alloc_scans",
+    "sweep_idle", "wires_slept", "shuffle_draws", "alloc_scans",
 )
 
 
@@ -175,6 +178,17 @@ class KernelProfiler:
         return self._counter("sweep_visits")
 
     @property
+    def sweep_idle(self) -> int:
+        """Channel-sweep visits to multi-lane wires that found no lane
+        ready (single-lane wires are not counted)."""
+        return self._counter("sweep_idle")
+
+    @property
+    def wires_slept(self) -> int:
+        """Shared wires that left the sweep because every owner sleeps."""
+        return self._counter("wires_slept")
+
+    @property
     def shuffle_draws(self) -> int:
         """Fisher-Yates draws of Phase A's service-order shuffle."""
         return self._counter("shuffle_draws")
@@ -243,6 +257,8 @@ class KernelProfiler:
             "worms_parked": self.worms_parked,
             "lanes_followed": self.lanes_followed,
             "sweep_visits": self.sweep_visits,
+            "sweep_idle": self.sweep_idle,
+            "wires_slept": self.wires_slept,
             "shuffle_draws": self.shuffle_draws,
             "alloc_scans": self.alloc_scans,
             "hot_sink": self.hot_sink,
@@ -266,6 +282,8 @@ class KernelProfiler:
             f"  worms parked       {self.worms_parked:12d}\n"
             f"  lanes followed     {self.lanes_followed:12d}\n"
             f"  sweep visits       {self.sweep_visits:12d}\n"
+            f"  idle visits        {self.sweep_idle:12d}\n"
+            f"  wires slept        {self.wires_slept:12d}\n"
             f"  shuffle draws      {self.shuffle_draws:12d}\n"
             f"  allocation scans   {self.alloc_scans:12d}\n"
             f"{_HOT_NOTE if self.hot_sink else ''}"

@@ -49,11 +49,14 @@ class FaultEpoch:
 class Lane:
     """One virtual channel on a wire."""
 
-    __slots__ = ("channel", "index", "owner", "route_idx", "sent", "buf")
+    __slots__ = ("channel", "index", "rr_after", "owner", "route_idx", "sent", "buf")
 
-    def __init__(self, channel: "PhysChannel", index: int) -> None:
+    def __init__(self, channel: "PhysChannel", index: int, num_lanes: int) -> None:
         self.channel = channel
         self.index = index
+        #: The wire's round-robin pointer after this lane is served
+        #: (the next lane's index, cyclically).
+        self.rr_after = (index + 1) % num_lanes
         self.owner: Optional["Packet"] = None
         #: Position of this lane in the owner's route (0 = injection).
         self.route_idx = -1
@@ -129,7 +132,7 @@ class PhysChannel:
         if is_delivery != (sink is not None):
             raise ValueError("delivery channels (and only they) name a sink node")
         self.label = label
-        self.lanes = [Lane(self, i) for i in range(num_lanes)]
+        self.lanes = [Lane(self, i, num_lanes) for i in range(num_lanes)]
         self.is_delivery = is_delivery
         self.sink = sink
         #: Round-robin pointer for fair flit-level multiplexing.

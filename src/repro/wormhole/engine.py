@@ -66,6 +66,20 @@ ENGINE_KINDS = ("fast", "reference")
 _TOPO_ORDER = attrgetter("topo_order")
 
 
+def _awake(lane, follow: bool) -> bool:
+    """The channel sweep's sleep rule: True when ``lane`` is owned and
+    may move before its worm's own moves or a grant of its header wake
+    it.  A lane sleeps when its worm is parked (see
+    ``WormholeEngine._park``) or, where lanes follow (``follow``), when
+    it is a full body lane (owned, not its worm's newest lane), which
+    the walk from its worm's downstream move serves.  A wire whose
+    every owner sleeps needs no visit."""
+    p = lane.owner
+    return p is not None and not p._parked and (
+        not (follow and lane.buf) or lane.route_idx == len(p.lanes) - 1
+    )
+
+
 #: Sort key of a free-run action bucket: (channel topo key, action
 #: kind).  Kind breaks the tie when one channel's move both drains the
 #: upstream buffer (0) and crosses a tail (1) or delivers (2) -- the
@@ -244,11 +258,17 @@ class WormholeEngine:
         #: Times the channel sweep parked a blocked worm (observability
         #: only; see :meth:`_park`).
         self.worms_parked = 0
-        #: Flits moved by following lanes, and channel-sweep visits
-        #: (``len(_active)`` summed over sweeps); observability only,
+        #: Flits moved by following lanes, channel-sweep visits
+        #: (``len(_active)`` summed over sweeps, plus each wire woken
+        #: into a sweep), the visits to multi-lane wires that found no
+        #: lane ready (counted at the visit, so that the single-lane
+        #: sweep pays nothing for it), and the shared wires that left
+        #: the list because every owner sleeps; observability only,
         #: see :meth:`_phase_advance_fast`.
         self.lanes_followed = 0
         self.sweep_visits = 0
+        self.sweep_idle = 0
+        self.wires_slept = 0
         #: Fisher-Yates draws of the service-order shuffle
         #: (``len(pending) - 1`` per cycle, a deferred cycle counted
         #: when it is owed, so both tiers agree at every cycle
@@ -280,15 +300,14 @@ class WormholeEngine:
         )
         #: No wire carries a second lane, so no round robin couples
         #: the worms (the TMIN/DMIN/BMIN and the direct fabrics).
-        self._single_lane = single_lane = all(
+        self._single_lane = all(
             len(ch.lanes) == 1 for ch in network.topo_channels
         )
         #: The channel sweep parks blocked, compressed worms (see
         #: :meth:`_park`) where a visit to a wire with no ready lane
-        #: changes nothing: no slowed wire counts visits down, and no
-        #: round robin shares a wire (the TMIN/DMIN/BMIN and the direct
-        #: fabrics).
-        self._parking = self._free_run and single_lane
+        #: changes nothing: no slowed wire counts visits down (a shared
+        #: wire's round robin moves only on a served lane).
+        self._parking = self._free_run
         #: The channel sweep lets body lanes alone on their wire follow
         #: (see :meth:`_phase_advance_fast`) where it visits every
         #: route downstream first (``worm_phase_ok``; the direct
@@ -864,7 +883,8 @@ class WormholeEngine:
         Single-lane channels take an inlined copy of
         ``PhysChannel._lane_ready`` + ``_move``; multi-lane channels
         (the VMIN's virtual-channel wires) an inlined copy of
-        ``PhysChannel.transmit``'s ready-lane round robin.  An owned
+        ``PhysChannel.transmit``'s ready-lane round robin, stepping by
+        each lane's stored successor (``Lane.rr_after``).  An owned
         lane has ``sent < length`` (it releases as its tail crosses),
         so readiness reads only the two buffers.  Due free-run actions
         merge into the sweep by channel topo key; they only touch wires
@@ -889,6 +909,16 @@ class WormholeEngine:
         follows), and a block parks the worm or lists the lane again.
         On the TMIN/DMIN/BMIN only head lanes stay listed: a worm costs
         one visit per cycle.
+
+        Shared wires (the VMIN): a wire whose every owner sleeps -- its
+        worm parked, or a full body lane that follows -- leaves the list
+        at a visit that finds no ready lane (or when a parking worm
+        leaves it, see :meth:`_unlist`).  A follower drained on
+        such a wire moves at once when the round robin at the wire's visit
+        could pick no other lane (:meth:`_moves_now`), setting
+        ``rr_next`` as ``transmit()`` does; otherwise the wire is woken:
+        listed into this sweep at its topo key, still ahead, where its
+        visit runs the round robin over every lane drained by then.
         """
         if self.bus.hot:
             # A hot sink reads real per-flit state in the reference's
@@ -973,13 +1003,10 @@ class WormholeEngine:
                     continue
             else:
                 # Serve the first ready lane from ``rr_next`` on.
-                n = len(lanes)
                 i = ch.rr_next
                 for _ in lanes:
                     lane = lanes[i]
-                    i += 1
-                    if i == n:
-                        i = 0
+                    i = lane.rr_after
                     p = lane.owner
                     if p is None:
                         continue
@@ -990,15 +1017,32 @@ class WormholeEngine:
                         continue
                     break
                 else:
-                    # No ready lane this cycle.
-                    if follow and ch.owned_count == 1:
-                        for lane in lanes:
-                            p = lane.owner
-                            if p is not None:
-                                break
-                        if lane.buf and lane.route_idx != len(p.lanes) - 1:
-                            write -= 1  # a full body lane: it follows
-                            ch.in_active = False
+                    # No ready lane this cycle.  The wire sleeps (leaves
+                    # the list) when every owner does: an inlined copy
+                    # of _awake (a call per lane here cost the VMIN
+                    # about 2% of its run time).  A blocked head is a
+                    # parking candidate.
+                    self.sweep_idle += 1
+                    awake = False
+                    for lane in lanes:
+                        p = lane.owner
+                        if p is None or p._parked:
+                            continue
+                        if lane.route_idx == len(p.lanes) - 1:
+                            awake = True
+                            if p._blk_usable is not None and self._parking:
+                                if parks is None:
+                                    parks = [p]
+                                else:
+                                    parks.append(p)
+                        elif not (follow and lane.buf):
+                            awake = True
+                    if not awake:
+                        write -= 1
+                        ch.in_active = False
+                        if ch.owned_count > 1:
+                            self.wires_slept += 1
+                        if follow:
                             self._followed = True
                     continue
                 ch.rr_next = i
@@ -1051,6 +1095,18 @@ class WormholeEngine:
                     self._lane_freed(ch)
                     if obs is not None:
                         obs.publish_release(self.env.now, p, ch, lane.index)
+                    if not single and ch.in_active and ch.owned_count:
+                        for o in lanes:
+                            if _awake(o, follow):
+                                break
+                        else:
+                            # Only sleeping owners are left: off the list.
+                            write -= 1
+                            ch.in_active = False
+                            if ch.owned_count > 1:
+                                self.wires_slept += 1
+                            if follow:
+                                self._followed = True
                     continue
             if not follow or not ridx:
                 continue
@@ -1070,13 +1126,28 @@ class WormholeEngine:
                             bubbles.append(up.channel)
                         break
                     feed.buf -= 1
+                if not single:
+                    uch = up.channel
+                    if uch.owned_count > 1:
+                        # A shared wire asleep.  When no other owner can
+                        # be drained before the wire's visit, the round
+                        # robin can only pick this lane: it moves now.
+                        # Else the wire is woken into this sweep at its
+                        # topo key (upstream, so still ahead) and its
+                        # visit runs the round robin (and takes the
+                        # feed's flit, which stays put).
+                        if not self._moves_now(up, ch.topo_order):
+                            if ridx:
+                                feed.buf += 1
+                            uch.in_active = True
+                            insort(active, uch, lo=write, key=_TOPO_ORDER)
+                            self.sweep_visits += 1
+                            break
+                        cand = None  # a shared wire: no free-run
+                    uch.rr_next = up.rr_after
                 up.sent += 1
                 up.buf += 1
                 followed += 1
-                if not single:
-                    uch = up.channel
-                    i = up.index + 1
-                    uch.rr_next = i if i < len(uch.lanes) else 0
                 if up.sent == p.length:
                     up.release()
                     self._lane_freed(up.channel)
@@ -1107,14 +1178,43 @@ class WormholeEngine:
             self.lanes_followed += followed
         if bubbles is not None:
             for ch in bubbles:
-                ch.in_active = True
-                insort(active, ch, key=_TOPO_ORDER)
+                if not ch.in_active:  # a shared one may have been woken
+                    ch.in_active = True
+                    insort(active, ch, key=_TOPO_ORDER)
         if parks is not None:
             for p in parks:
                 if p._blk_usable is not None:  # else woken later on
                     self._park(p)
         if cands is not None:
             self._enter_solo(cands)
+
+    def _moves_now(self, up, key: int) -> bool:
+        """A follower ``up`` on a sleeping shared wire has just been
+        drained, in the visit of the channel with topo key ``key``.
+
+        True when no other owner of the wire can be drained before the
+        wire's visit in this sweep, so that the round robin there can
+        only serve ``up``.  A parked owner cannot move.  Any other
+        owner is a full follower: only its own worm's move downstream
+        of it drains it, and such moves start at the visit of its
+        worm's nearest listed lane downstream (the walk from there
+        moves the followers in between).  That visit is still ahead
+        only when its topo key exceeds ``key``.  A worm with no listed
+        lane downstream (its header has just arrived) cannot move
+        before the next Phase A.
+        """
+        for o in up.channel.lanes:
+            q = o.owner
+            if q is None or o is up or q._parked:
+                continue
+            lanes = q.lanes
+            for k in range(o.route_idx + 1, len(lanes)):
+                ch = lanes[k].channel
+                if ch.in_active:
+                    if ch.topo_order > key:
+                        return False
+                    break
+        return True
 
     def _enter_lazy(self, p: Packet) -> bool:
         """Try to switch a delivery-phase worm to free-run fast-forward.
@@ -1210,8 +1310,10 @@ class WormholeEngine:
         its oldest owned lane feeds from, which no other worm can
         touch), and only its own moves, a grant or an abort change
         those.  Visiting its wires would change nothing (no slowed
-        wire, no shared round robin: see ``_parking``), so they leave
-        ``_active`` until :meth:`_unpark` at the grant; an abort simply
+        wire, see ``_parking``; a shared wire's round robin never
+        serves a lane that is not ready), so they leave ``_active``
+        until :meth:`_unpark` at the grant, but for a shared wire with
+        an owner awake (see :meth:`_unlist`); an abort simply
         releases them.  Returns True when the worm parked.
         """
         lanes = p.lanes
@@ -1228,24 +1330,34 @@ class WormholeEngine:
             if lane.channel.in_active:
                 listed = True
             i -= 1
+        p._parked = True
         if listed:
             self._unlist(p)
-        p._parked = True
         self.worms_parked += 1
         return True
 
     def _unlist(self, p: Packet) -> None:
         """Between sweeps: take the wires of ``p``'s owned lanes off
         ``_active`` (the compacted list holds exactly the channels
-        flagged ``in_active``, in topo order)."""
+        flagged ``in_active``, in topo order).  A shared wire leaves
+        only when every owner sleeps (see :func:`_awake`); one with an
+        owner awake stays listed for it."""
         active = self._active
         for lane in reversed(p.lanes):
             if lane.owner is not p:
                 break
             ch = lane.channel
-            if ch.in_active:
-                ch.in_active = False
-                del active[bisect_left(active, ch.topo_order, key=_TOPO_ORDER)]
+            if not ch.in_active:
+                continue
+            if ch.owned_count > 1:
+                follow = self._following and not self.bus.hot
+                if any(_awake(o, follow) for o in ch.lanes):
+                    continue
+                self.wires_slept += 1
+                if follow:
+                    self._followed = True  # it may hold a follower
+            ch.in_active = False
+            del active[bisect_left(active, ch.topo_order, key=_TOPO_ORDER)]
 
     def _unpark(self, p: Packet) -> None:
         """Phase A granted a parked worm's header: its wires rejoin
@@ -1287,17 +1399,19 @@ class WormholeEngine:
         every following lane's wire rejoins ``_active``, once, at the
         switch.  Free-running worms are materialized first, so every
         owned wire off the list is a follower's or a parked worm's;
-        the latter stay off (a parked worm can still not move, and its
-        grant lists its wires again, see :meth:`_unpark`)."""
+        a wire whose every owner is parked stays off (a parked worm can
+        still not move, and its grant lists its wires again, see
+        :meth:`_unpark`)."""
         self._followed = False
         active = self._active
-        parking = self._parking
         for ch in self.network.topo_channels:
             if ch.owned_count and not ch.in_active:
-                if parking and ch.lanes[0].owner._parked:
-                    continue
-                ch.in_active = True
-                active.append(ch)
+                for lane in ch.lanes:
+                    p = lane.owner
+                    if p is not None and not p._parked:
+                        ch.in_active = True
+                        active.append(ch)
+                        break
         active.sort(key=_TOPO_ORDER)
 
     def _exec_lazy(self, act) -> bool:

@@ -99,19 +99,20 @@ class Sanitizer:
         """Fast-path invariants: active list, parked worms, header caches.
 
         * every channel with an owned lane is on the active list unless
-          a parked worm or a following lane owns it, and no parked
-          worm's wire is on it (a miss would silently freeze a worm).
-          On an engine that follows and has no hot sink (see
-          ``WormholeEngine._phase_advance_fast``), two more owned
-          lanes alone on their wire may be off it: a following lane
-          (owned, not its worm's newest lane, its buffer full), whose
-          worm's newest lane is listed or has just passed its header
-          on (the sweep walks followers only from a listed lane of
-          their worm); and a worm's newest lane whose header reached
-          the routing queue in this cycle's sweep (waiting, not yet
-          cached as blocked).  A
-          free-running worm's wires leave the list too, which is why
-          the engine never free-runs a worm under the sanitizer;
+          each of its owned lanes sleeps (a miss would silently freeze
+          a worm): its worm is parked, or, on an engine that follows
+          and has no hot sink (see
+          ``WormholeEngine._phase_advance_fast``), it is a following
+          lane (owned, not its worm's newest lane, its buffer full)
+          whose worm's newest lane is listed or has just passed its
+          header on (the sweep walks followers only from a listed lane
+          of their worm).  A worm's newest lane alone on its wire,
+          whose header reached the routing queue in this cycle's sweep
+          (waiting, not yet cached as blocked), may be off it too.  A
+          parked worm's wire is on the list only while an owner whose
+          worm is not parked shares it.  A free-running worm's wires
+          leave the list too, which is why the engine never free-runs
+          a worm under the sanitizer;
         * the list is sorted by ``topo_order`` with no duplicates (the
           advance order must match the reference scan's);
         * each parked worm is ACTIVE, its header waits in the routing
@@ -143,16 +144,16 @@ class Sanitizer:
             if ch.owned_count == 0:
                 continue
             owners = ch.owners()
-            if any(p._parked for p in owners):
-                if on_list:
-                    self._fail(
-                        f"{ch.label}: a parked worm's wire is on the fast "
-                        "path's active list"
-                    )
-                for p in owners:
+            for p in owners:
+                if p._parked:
                     parked[id(p)] = p
-            elif not on_list:
+            if not on_list:
                 self._check_unlisted(engine, ch, pending)
+            elif all(p._parked for p in owners):
+                self._fail(
+                    f"{ch.label}: a parked worm's wire is on the fast "
+                    "path's active list with no other owner awake"
+                )
         for p in parked.values():
             if p.state is not PacketState.ACTIVE:
                 self._fail(f"pkt#{p.pid}: parked in state {p.state.value}")
@@ -201,35 +202,40 @@ class Sanitizer:
     def _check_unlisted(
         self, engine: "WormholeEngine", ch, pending: set
     ) -> None:
-        """The owned wire ``ch`` is off the active list and no parked
-        worm owns it: it must carry a following lane or a lane whose
-        header just arrived (see :meth:`_check_active_list`)."""
-        if engine._following and not engine.bus.hot and ch.owned_count == 1:
-            lane = next(lane for lane in ch.lanes if lane.owner is not None)
+        """The owned wire ``ch`` is off the active list: every owned
+        lane on it must be a parked worm's, a following lane, or (alone
+        on the wire) a lane whose header just arrived (see
+        :meth:`_check_active_list`)."""
+        follow = engine._following and not engine.bus.hot
+        for lane in ch.lanes:
             p = lane.owner
-            head = p.lanes[-1]
-            arrived = (
-                p.needs_route and p._blk_usable is None and id(p) in pending
-            )
-            if lane is not head:
-                if not lane.buf:
-                    self._fail(
-                        f"{ch.label}: an empty body lane of pkt#{p.pid} "
-                        "is off the active list"
-                    )
-                if head.channel.in_active or arrived:
-                    return
-                self._fail(
-                    f"{ch.label}: a following lane of pkt#{p.pid}, whose "
-                    f"newest lane {head.channel.label} is off the active "
-                    "list"
+            if p is None or p._parked:
+                continue
+            if follow:
+                head = p.lanes[-1]
+                arrived = (
+                    p.needs_route and p._blk_usable is None and id(p) in pending
                 )
-            if arrived:
-                return
-        self._fail(
-            f"{ch.label}: owned_count={ch.owned_count} but the channel is "
-            "missing from the fast path's active list"
-        )
+                if lane is not head:
+                    if not lane.buf:
+                        self._fail(
+                            f"{ch.label}: an empty body lane of pkt#{p.pid} "
+                            "is off the active list"
+                        )
+                    if head.channel.in_active or arrived:
+                        continue
+                    self._fail(
+                        f"{ch.label}: a following lane of pkt#{p.pid}, whose "
+                        f"newest lane {head.channel.label} is off the active "
+                        "list"
+                    )
+                if arrived and ch.owned_count == 1:
+                    continue
+            self._fail(
+                f"{ch.label}: owned_count={ch.owned_count} but the channel "
+                f"is missing from the fast path's active list (pkt#{p.pid} "
+                "is awake on it)"
+            )
 
     def _check_channels(self) -> None:
         for ch in self.network.topo_channels:

@@ -119,12 +119,13 @@ def run_case(
 
     ``sink`` attaches a bus sink before the run, or -- with
     ``sink_at`` -- mid-run, at that simulated time; the sink's
-    ``free_running_at_attach``, ``following_at_attach`` and
-    ``parked_at_attach`` then record how many worms the engine was
-    free-running, how many lanes were following (see
-    :func:`following_lanes`) and how many worms were parked (see
-    :func:`parked_worms`) at that instant (always 0 on the reference
-    tier).
+    ``free_running_at_attach``, ``following_at_attach``,
+    ``parked_at_attach`` and ``sleeping_at_attach`` then record how
+    many worms the engine was free-running, how many lanes were
+    following (see :func:`following_lanes`), how many worms were
+    parked (see :func:`parked_worms`) and how many shared wires slept
+    (see :func:`sleeping_wires`) at that instant (always 0 on the
+    reference tier).
 
     ``overload`` installs a deliberately tight
     :class:`~repro.stability.BoundedQueue` in the named admission mode
@@ -295,12 +296,26 @@ def parked_worms(eng) -> int:
     return sum(1 for p in eng.in_flight_packets() if p._parked)
 
 
+def sleeping_wires(eng) -> int:
+    """Wires with more than one owned lane that the fast tier's channel
+    sweep holds off its active list, every owner asleep (0 on the
+    reference tier)."""
+    if not eng.fast:
+        return 0
+    return sum(
+        1
+        for ch in eng.network.topo_channels
+        if ch.owned_count > 1 and not ch.in_active
+    )
+
+
 def _attach_at(env, eng, sink, at: float):
     """Process: attach ``sink`` to the engine's bus at time ``at``."""
     yield env.timeout(at)
     sink.free_running_at_attach = len(eng._lazy_live)
     sink.following_at_attach = following_lanes(eng)
     sink.parked_at_attach = parked_worms(eng)
+    sink.sleeping_at_attach = sleeping_wires(eng)
     eng.bus.attach(sink)
 
 

@@ -75,6 +75,7 @@ CFG_STREAM = replace(
             id="torus3d",
         ),
         pytest.param("dmin", None, 0.8, 1400.0, id="dmin-loaded"),
+        pytest.param("vmin", None, 0.8, 1400.0, id="vmin-loaded"),
     ),
 )
 def test_event_stream_identity_mid_run_attach(
@@ -86,9 +87,11 @@ def test_event_stream_identity_mid_run_attach(
     full), and on the MINs put their following lanes back on the sweep
     too, so the transmit log from the attach on matches the
     reference's, with every observable bit-identical.  On the loaded
-    DMIN, worms are also parked at the attach, whose wires stay off the
-    sweep until their grants.  (The sanitizer switches free-run off, so
-    this case always runs without it.)"""
+    DMIN and VMIN, worms are also parked at the attach, whose wires stay
+    off the sweep until their grants; on the loaded VMIN, shared wires
+    whose owners all sleep are off it too, and those holding a follower
+    must rejoin it.  (The sanitizer switches free-run off, so this case
+    always runs without it.)"""
     monkeypatch.delenv("REPRO_SANITIZE", raising=False)
     rec_ref = EventRecorder()
     snap_ref = run_case(
@@ -109,6 +112,8 @@ def test_event_stream_identity_mid_run_attach(
         # sweep at once.
         assert rec.parked_at_attach > 0, "no worm was parked at the attach"
         assert rec.following_at_attach > 0, "no lane followed at the attach"
+        if kind == "vmin":
+            assert rec.sleeping_at_attach > 0, "no shared wire slept at the attach"
     assert strip_kernel_counters(snap) == strip_kernel_counters(snap_ref)
     assert any(e[0] == "transmit" for e in rec.events)
     assert rec.events == rec_ref.events

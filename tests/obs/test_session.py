@@ -127,9 +127,11 @@ def test_profiler_reports_span_skipped_cycles():
 
 def test_profiler_reports_channel_sweep_counters():
     """A VMIN worm blocked behind two others holding its destination's
-    lanes: its full body lanes follow, and the profiler reports their
-    moves and the sweep's visits.  Under an ObsSession (hot sinks, as
-    for ``--obs-report``) nothing follows, and the report says so."""
+    lanes: its full body lanes follow, it parks with its head lane
+    beside a follower of 0 -> 7 on b2[5], so that shared wire sleeps,
+    and the profiler reports the follower moves, the sweep's visits,
+    the idle ones and the slept wire.  Under an ObsSession (hot sinks,
+    as for ``--obs-report``) nothing follows, and the report says so."""
     offers = ((0, 7, 300), (1, 7, 300), (2, 7, 100))
     env, eng = _engine("vmin")
     prof = KernelProfiler().install(eng)
@@ -139,17 +141,23 @@ def test_profiler_reports_channel_sweep_counters():
     prof.finish()
     assert prof.lanes_followed == eng.lanes_followed > 0
     assert prof.sweep_visits == eng.sweep_visits > 0
+    assert prof.sweep_idle == eng.sweep_idle > 0
+    assert prof.wires_slept == eng.wires_slept > 0
     d = prof.to_dict()
     assert d["lanes_followed"] == prof.lanes_followed
     assert d["sweep_visits"] == prof.sweep_visits
+    assert d["sweep_idle"] == prof.sweep_idle
+    assert d["wires_slept"] == prof.wires_slept
     env, eng = _engine("vmin")
     with ObsSession(eng) as obs:
         for src, dst, length in offers:
             eng.offer(src, dst, length)
         eng.run_cycles(200)
     assert obs.profiler.lanes_followed == 0 < obs.profiler.sweep_visits
+    assert 0 < obs.profiler.sweep_idle < obs.profiler.sweep_visits
     text = obs.report()
     assert "lanes followed" in text and "sweep visits" in text
+    assert "idle visits" in text and "wires slept" in text
 
 
 def test_profiler_flags_a_hot_sink():

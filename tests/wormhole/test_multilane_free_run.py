@@ -32,8 +32,9 @@ def _count(eng, name: str) -> list:
 
 def test_light_load_vmin_spans_and_free_runs(default_tier):
     env, eng = streaming_point(kind="vmin")
-    # Shared round robins: body lanes follow, but no worm parks.
-    assert eng._free_run and eng._following and not eng._parking
+    # Unslowed wires: body lanes follow and blocked worms park, shared
+    # round robins or not.
+    assert eng._free_run and eng._following and eng._parking
     entries = _count(eng, "_enter_lazy")
     eng.start()
     env.run(until=CYCLES)
