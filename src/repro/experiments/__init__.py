@@ -27,67 +27,41 @@ Command line: ``python -m repro.experiments --figure 18 --mode scaled``
 (or ``--availability`` / ``--stability``).
 """
 
-from repro.experiments.config import (
-    FULL_FIDELITY,
-    SCALED,
-    SMOKE,
-    NetworkConfig,
-    RunConfig,
-)
-from repro.experiments.figures import (
-    FIGURE_BUILDERS,
-    FigureResult,
-    fig16,
-    fig17,
-    fig18,
-    fig19,
-    fig20,
-)
-from repro.experiments.runner import (
-    LoadPoint,
-    PointTimeout,
-    SweepResult,
-    run_point,
-    set_point_deadline,
-    sweep,
-)
-from repro.experiments.report import render_figure, shape_checks
-from repro.experiments.plotting import ascii_curve_plot, plot_figure
-from repro.experiments.export import write_figure_csv, write_figure_json
-from repro.experiments.saturation import (
-    CONVERGED,
-    HI_SUSTAINABLE,
-    LO_SATURATED,
-    SATURATION_STATUSES,
-    SaturationPoint,
-    find_saturation,
-)
-from repro.experiments.stability import (
-    LOAD_FACTORS,
-    StabilityPoint,
-    StabilityResult,
-    render_stability,
-    stability_checks,
-    stability_comparison,
-    stability_point,
-    stability_sweep,
-)
-from repro.experiments.workload_spec import WorkloadSpec
-from repro.experiments.parallel import (
-    ProgressFn,
-    parallel_matrix,
-    parallel_sweep,
-)
-from repro.experiments.traced import run_traced_point
-from repro.experiments.availability import (
-    AvailabilityPoint,
-    AvailabilityResult,
-    availability_checks,
-    availability_comparison,
-    availability_point,
-    availability_sweep,
-    render_availability,
-)
+from repro._lazy import lazy_exports
+
+__getattr__, __dir__ = lazy_exports(__name__, {
+    "config": (
+        "FULL_FIDELITY", "SCALED", "SMOKE", "NetworkConfig", "RunConfig",
+    ),
+    "figures": (
+        "FIGURE_BUILDERS", "FigureResult", "fig16", "fig17", "fig18", "fig19",
+        "fig20",
+    ),
+    "runner": (
+        "LoadPoint", "PointTimeout", "SweepResult", "run_point",
+        "set_point_deadline", "sweep",
+    ),
+    "report": ("render_figure", "shape_checks"),
+    "plotting": ("ascii_curve_plot", "plot_figure"),
+    "export": ("write_figure_csv", "write_figure_json"),
+    "saturation": (
+        "CONVERGED", "HI_SUSTAINABLE", "LO_SATURATED", "SATURATION_STATUSES",
+        "SaturationPoint", "find_saturation",
+    ),
+    "stability": (
+        "LOAD_FACTORS", "StabilityPoint", "StabilityResult",
+        "render_stability", "stability_checks", "stability_comparison",
+        "stability_point", "stability_sweep",
+    ),
+    "workload_spec": ("WorkloadSpec",),
+    "parallel": ("ProgressFn", "parallel_matrix", "parallel_sweep"),
+    "traced": ("run_traced_point",),
+    "availability": (
+        "AvailabilityPoint", "AvailabilityResult", "availability_checks",
+        "availability_comparison", "availability_point", "availability_sweep",
+        "render_availability",
+    ),
+})
 
 __all__ = [
     "AvailabilityPoint",

@@ -21,14 +21,15 @@ See ``experiments/availability.py`` for the throughput-vs-fault-rate
 degradation sweeps and ``examples/fault_storm.py`` for a quick demo.
 """
 
-from repro.faults.mtbf import MTBFChurn, fabric_channels
-from repro.faults.plan import (
-    FaultEvent,
-    FaultInjector,
-    FaultPlan,
-    switch_output_channels,
-)
-from repro.faults.recovery import RetryPolicy, SourceRetry
+from repro._lazy import lazy_exports
+
+__getattr__, __dir__ = lazy_exports(__name__, {
+    "mtbf": ("MTBFChurn", "fabric_channels"),
+    "plan": (
+        "FaultEvent", "FaultInjector", "FaultPlan", "switch_output_channels",
+    ),
+    "recovery": ("RetryPolicy", "SourceRetry"),
+})
 
 __all__ = [
     "FaultEvent",

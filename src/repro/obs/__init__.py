@@ -19,13 +19,17 @@ Layered over the structured :class:`~repro.obs.bus.EventBus` every
 See ``docs/observability.md`` for the architecture tour.
 """
 
-from repro.obs.bus import HOT_KINDS, KIND_METHODS, KINDS, EventBus
-from repro.obs.contention import ChannelLedger, ContentionSink, stage_of
-from repro.obs.histogram import LatencyHistogram
-from repro.obs.perfetto import CYCLE_MICROSECONDS, PerfettoSink
-from repro.obs.profiler import KernelProfiler
-from repro.obs.progress import ProgressMeter
-from repro.obs.session import ObsSession
+from repro._lazy import lazy_exports
+
+__getattr__, __dir__ = lazy_exports(__name__, {
+    "bus": ("HOT_KINDS", "KIND_METHODS", "KINDS", "EventBus"),
+    "contention": ("ChannelLedger", "ContentionSink", "stage_of"),
+    "histogram": ("LatencyHistogram",),
+    "perfetto": ("CYCLE_MICROSECONDS", "PerfettoSink"),
+    "profiler": ("KernelProfiler",),
+    "progress": ("ProgressMeter",),
+    "session": ("ObsSession",),
+})
 
 __all__ = [
     "EventBus",

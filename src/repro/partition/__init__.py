@@ -18,15 +18,16 @@ This package makes the paper's Section 4 executable:
   (Lemma 1, Theorems 2, 3 and 4).
 """
 
-from repro.partition.cubes import Cube
-from repro.partition.analysis import (
-    PartitionReport,
-    bmin_cluster_line_usage,
-    check_partition,
-    cluster_channel_usage,
-    clusters_are_contention_free,
-    is_channel_balanced,
-)
+from repro._lazy import lazy_exports
+
+__getattr__, __dir__ = lazy_exports(__name__, {
+    "cubes": ("Cube",),
+    "analysis": (
+        "PartitionReport", "bmin_cluster_line_usage", "check_partition",
+        "cluster_channel_usage", "clusters_are_contention_free",
+        "is_channel_balanced",
+    ),
+})
 
 __all__ = [
     "Cube",

@@ -17,7 +17,11 @@ output ports; the wormhole engine resolves candidates against channel
 availability (random free choice for DMIN lanes and BMIN forward hops).
 """
 
-from repro.routing.tags import TagRouter
-from repro.routing.turnaround import Move, RouteDecision, TurnaroundRouter
+from repro._lazy import lazy_exports
+
+__getattr__, __dir__ = lazy_exports(__name__, {
+    "tags": ("TagRouter",),
+    "turnaround": ("Move", "RouteDecision", "TurnaroundRouter"),
+})
 
 __all__ = ["Move", "RouteDecision", "TagRouter", "TurnaroundRouter"]

@@ -20,10 +20,22 @@ from __future__ import annotations
 import math
 from dataclasses import asdict
 
+# Every module a PointSpec can reach is imported here, at module level:
+# the service forks its workers from a parent that has imported this
+# module, so a worker finds its whole closure loaded and compiles
+# nothing.  ``repro.direct`` is what ``NetworkConfig.build`` reaches
+# for the torus and mesh points.
+import repro.direct  # noqa: F401
+from repro.experiments.availability import faulted_point
 from repro.experiments.config import RunConfig
 from repro.experiments.runner import build_point, install_workload, measure, run_point, warm_up
+from repro.experiments.stability import stability_point
+from repro.faults.mtbf import MTBFChurn
+from repro.faults.recovery import RetryPolicy
 from repro.metrics.collector import measurement_to_dict
 from repro.serve.job import PointSpec
+from repro.stability.admission import BoundedQueue
+from repro.transport.reliable import ReliableTransport, TransportConfig
 
 PAYLOAD_VERSION = 1
 
@@ -44,9 +56,6 @@ def run_point_spec(point: PointSpec) -> dict:
             engine=point.engine,
         )
     else:
-        from repro.experiments.availability import faulted_point
-        from repro.faults.recovery import RetryPolicy
-
         faults = point.faults
         workload = point.workload.builder(run_cfg)(point.load)
         policy = RetryPolicy(max_attempts=faults.max_attempts)
@@ -70,9 +79,6 @@ def _run_stability_point(point: PointSpec, run_cfg: RunConfig) -> dict:
     one point cannot know its network's knee -- so the classification
     distinguishes stable from metastable but never reports collapse.
     """
-    from repro.experiments.stability import stability_point
-    from repro.stability import BoundedQueue
-
     cfg = point.stability
     sp = stability_point(
         point.network,
@@ -111,9 +117,6 @@ def _run_transport_point(point: PointSpec, run_cfg: RunConfig) -> dict:
     the ordinary measurement block plus a ``transport`` block with the
     normalized configuration and the end-to-end tallies.
     """
-    from repro.faults.mtbf import MTBFChurn
-    from repro.transport import ReliableTransport, TransportConfig
-
     env, engine, root = build_point(
         point.network, point.load, run_cfg, point.engine
     )

@@ -31,7 +31,7 @@ from repro.experiments.workload_spec import WorkloadSpec
 from repro.serve.canonical import canonical_value, config_hash
 from repro.stability.admission import ADMISSION_MODES, SHED_NEWEST
 from repro.traffic.workload import MessageSizeModel
-from repro.transport import TransportConfig
+from repro.transport.reliable import TransportConfig
 from repro.wormhole.engine import resolve_engine
 from repro.wormhole.network import NetworkKind
 

@@ -31,31 +31,22 @@ the admission slot, and behaves bit-identically to the pre-package
 simulator (certified by ``tests/differential``).
 """
 
-from repro.stability.admission import (
-    ADMISSION_MODES,
-    BLOCK,
-    SHED_NEWEST,
-    SHED_OLDEST,
-    BoundedQueue,
-)
-from repro.stability.governor import AIMDConfig, AIMDGovernor
-from repro.stability.steady import (
-    COLLAPSED,
-    METASTABLE,
-    STABLE,
-    STABILITY_CLASSES,
-    SteadyState,
-    analyze_series,
-    classify,
-    mser_truncation,
-)
-from repro.stability.watchdog import (
-    CONGESTION,
-    DEADLOCK,
-    LIVELOCK,
-    ProgressWatchdog,
-    StallEvent,
-)
+from repro._lazy import lazy_exports
+
+__getattr__, __dir__ = lazy_exports(__name__, {
+    "admission": (
+        "ADMISSION_MODES", "BLOCK", "SHED_NEWEST", "SHED_OLDEST",
+        "BoundedQueue",
+    ),
+    "governor": ("AIMDConfig", "AIMDGovernor"),
+    "steady": (
+        "COLLAPSED", "METASTABLE", "STABLE", "STABILITY_CLASSES",
+        "SteadyState", "analyze_series", "classify", "mser_truncation",
+    ),
+    "watchdog": (
+        "CONGESTION", "DEADLOCK", "LIVELOCK", "ProgressWatchdog", "StallEvent",
+    ),
+})
 
 __all__ = [
     "ADMISSION_MODES",

@@ -22,25 +22,20 @@ This package constructs the networks studied in the paper:
   admissibility analysis.
 """
 
-from repro.topology.bmin import BidirectionalMIN
-from repro.topology.fattree import FatTree
-from repro.topology.mins import (
-    baseline_min,
-    butterfly_min,
-    cube_min,
-    flip_min,
-    omega_min,
-)
-from repro.topology.permutations import (
-    ButterflyPermutation,
-    Identity,
-    InverseShuffle,
-    PerfectShuffle,
-    Permutation,
-    from_digits,
-    to_digits,
-)
-from repro.topology.spec import MINSpec
+from repro._lazy import lazy_exports
+
+__getattr__, __dir__ = lazy_exports(__name__, {
+    "bmin": ("BidirectionalMIN",),
+    "fattree": ("FatTree",),
+    "mins": (
+        "baseline_min", "butterfly_min", "cube_min", "flip_min", "omega_min",
+    ),
+    "permutations": (
+        "ButterflyPermutation", "Identity", "InverseShuffle", "PerfectShuffle",
+        "Permutation", "from_digits", "to_digits",
+    ),
+    "spec": ("MINSpec",),
+})
 
 __all__ = [
     "BidirectionalMIN",

@@ -13,35 +13,21 @@ Reproduces Section 5.1's workload model:
   per-cluster traffic ratios like 4:1:1:1 (:mod:`repro.traffic.clusters`).
 """
 
-from repro.traffic.bursty import (
-    ArrivalSpec,
-    MMPPArrivals,
-    ParetoOnOffArrivals,
-)
-from repro.traffic.clusters import (
-    ClusterSpec,
-    cluster_16,
-    cluster_32,
-    global_cluster,
-)
-from repro.traffic.patterns import (
-    ButterflyPermutationPattern,
-    HotSpotPattern,
-    PermutationPattern,
-    ShufflePattern,
-    TrafficPattern,
-    UniformPattern,
-)
-from repro.traffic.trace import (
-    Trace,
-    TraceFormatError,
-    TraceRecord,
-    TraceWorkload,
-    read_trace,
-    synthesize_trace,
-    write_trace,
-)
-from repro.traffic.workload import MessageSizeModel, Workload
+from repro._lazy import lazy_exports
+
+__getattr__, __dir__ = lazy_exports(__name__, {
+    "bursty": ("ArrivalSpec", "MMPPArrivals", "ParetoOnOffArrivals"),
+    "clusters": ("ClusterSpec", "cluster_16", "cluster_32", "global_cluster"),
+    "patterns": (
+        "ButterflyPermutationPattern", "HotSpotPattern", "PermutationPattern",
+        "ShufflePattern", "TrafficPattern", "UniformPattern",
+    ),
+    "trace": (
+        "Trace", "TraceFormatError", "TraceRecord", "TraceWorkload",
+        "read_trace", "synthesize_trace", "write_trace",
+    ),
+    "workload": ("MessageSizeModel", "Workload"),
+})
 
 __all__ = [
     "ArrivalSpec",
