@@ -16,11 +16,13 @@ import csv
 import json
 import math
 from pathlib import Path
-from typing import Union
+from typing import TYPE_CHECKING, Union
 
-from repro.experiments.figures import FigureResult
 from repro.experiments.runner import SweepResult
 from repro.metrics.summary import MEASUREMENT_COLUMNS, measurement_row
+
+if TYPE_CHECKING:  # pragma: no cover
+    from repro.experiments.figures import FigureResult
 
 #: Column order of the long-form CSV: the two identity columns plus the
 #: shared Measurement registry (extend the registry, not this list; see

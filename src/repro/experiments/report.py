@@ -9,10 +9,13 @@ figure without eyeballing.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
-from repro.experiments.figures import FigureResult
 from repro.experiments.runner import SweepResult
 from repro.metrics.summary import report_columns
+
+if TYPE_CHECKING:  # pragma: no cover
+    from repro.experiments.figures import FigureResult
 
 
 def render_sweep(s: SweepResult) -> str:

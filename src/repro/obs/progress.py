@@ -50,7 +50,8 @@ class HeartbeatSlot:
         self.index = index
 
     def beat(self) -> None:
-        """Record liveness now (called from the owning worker)."""
+        """Record liveness now (the owning worker, or the supervisor
+        as it hands that worker a point)."""
         self.array[self.index] = time.monotonic()  # lint-sim: ignore[RPV002] -- harness liveness, not sim state
 
     def last(self) -> float:

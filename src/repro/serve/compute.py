@@ -1,7 +1,7 @@
 """Executing one :class:`~repro.serve.job.PointSpec` to a cache payload.
 
 This is the module workers import: :func:`run_point_spec` must be a
-picklable module-level callable (it crosses the task queue), and its
+picklable module-level callable (it crosses the process boundary), and its
 output must be *canonically serializable* so a cached record is
 byte-equal to a fresh recomputation (``tests/serve/test_cache.py``
 proves this for every network on both engines).

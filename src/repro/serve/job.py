@@ -93,25 +93,9 @@ def validate_stability(raw: Optional[dict]) -> Optional[dict]:
     return dict(sorted(cfg.items()))
 
 
-#: Canonical defaults of a transport-config mapping; mirror
-#: :class:`repro.transport.TransportConfig` exactly (pinned by test).
-TRANSPORT_DEFAULTS = {
-    "window": 4,
-    "max_window": 32,
-    "ai_step": 1,
-    "rto_base": 256.0,
-    "rto_factor": 2.0,
-    "rto_max": 8192.0,
-    "jitter": 0.25,
-    "max_attempts": 8,
-    "ack_length": 4,
-    "ack_delay": 4.0,
-}
-
-_TRANSPORT_INT_KEYS = ("window", "max_window", "ai_step", "max_attempts",
-                       "ack_length")
-_TRANSPORT_FLOAT_KEYS = ("rto_base", "rto_factor", "rto_max", "jitter",
-                         "ack_delay")
+#: Canonical defaults of a transport-config mapping: the
+#: :class:`~repro.transport.TransportConfig` field defaults.
+TRANSPORT_DEFAULTS = dataclasses.asdict(TransportConfig())
 
 
 def validate_transport(raw: Optional[dict]) -> Optional[dict]:
@@ -136,11 +120,11 @@ def validate_transport(raw: Optional[dict]) -> Optional[dict]:
             f"unknown transport key(s) {', '.join(unknown)}; "
             f"valid: {', '.join(sorted(TRANSPORT_DEFAULTS))}"
         )
-    cfg = {**TRANSPORT_DEFAULTS, **raw}
-    for k in _TRANSPORT_INT_KEYS:
-        cfg[k] = int(cfg[k])
-    for k in _TRANSPORT_FLOAT_KEYS:
-        cfg[k] = float(cfg[k])
+    # Each value takes its default's type, so ``8`` and ``8.0`` hash alike.
+    cfg = {
+        k: type(default)(raw.get(k, default))
+        for k, default in TRANSPORT_DEFAULTS.items()
+    }
     TransportConfig(**cfg)  # field-level validation, one place
     return dict(sorted(cfg.items()))
 

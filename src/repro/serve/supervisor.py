@@ -3,18 +3,22 @@
 ``concurrent.futures`` cannot express the failure policy the sweep
 service needs (a SIGKILLed worker poisons a ``ProcessPoolExecutor``
 wholesale), so the supervisor manages ``multiprocessing.Process``
-workers directly:
+workers directly.  Each worker receives its points and reports its
+answers over its own duplex pipe, and the parent hands a point only to
+an idle worker.  No queue, lock or feeder thread is shared between
+workers, so a worker killed at any instant -- computing, sending, or
+idle in its ``recv`` -- silences nobody but itself:
 
 * **heartbeat liveness** -- each worker owns a
   :class:`repro.obs.progress.HeartbeatSlot` in a shared array and beats
   it from the simulation loop's cooperative check, so the parent can
   tell a *slow* point (recent beat) from a *wedged* worker (stale
-  beat).  Wedged workers are killed and their point re-dispatched;
+  beat).  The parent beats the slot when it hands the worker a point,
+  so the stall clock starts at the dispatch.  Wedged workers are killed
+  and their point re-dispatched;
 * **death recovery** -- a worker that dies (SIGKILL, OOM, segfault) is
-  detected by ``Process.is_alive()``, respawned into the same slot, and
-  its in-flight point retried on the fresh worker.  Each worker reports
-  over its own pipe, so a worker killed mid-message cannot leave a
-  shared queue lock held and silence the others;
+  detected by its pipe's EOF and ``Process.is_alive()``, respawned into
+  the same slot, and its in-flight point (if it had one) retried;
 * **retry with backoff** -- failed attempts re-dispatch after
   :meth:`repro.faults.recovery.RetryPolicy.nominal_delay` (the same
   schedule the in-simulation source retry uses, in wall seconds);
@@ -40,7 +44,6 @@ from __future__ import annotations
 import heapq
 import multiprocessing
 import os
-import queue as queue_mod
 import time
 from dataclasses import dataclass, field
 from multiprocessing.connection import Connection
@@ -57,6 +60,10 @@ DEFAULT_RETRY = RetryPolicy(
     max_attempts=3, base_delay=0.05, factor=2.0, max_delay=2.0, jitter=0.0
 )
 
+#: Seconds the supervision loop waits for a worker's answer before it
+#: sweeps liveness and due retries again.
+POLL_INTERVAL = 0.05
+
 #: Outcome events the ``on_event`` callback can receive.
 EVENT_KINDS = ("dispatch", "retry", "poison", "worker_death", "stall_kill")
 
@@ -69,7 +76,6 @@ class SupervisePolicy:
     retry: RetryPolicy = DEFAULT_RETRY
     point_timeout: Optional[float] = None   # cooperative deadline, seconds
     stall_after: float = 60.0               # stale-heartbeat kill threshold
-    poll_interval: float = 0.05
 
     def __post_init__(self) -> None:
         if self.workers < 1:
@@ -137,41 +143,37 @@ def _format_error(exc: BaseException) -> str:
 
 def _worker_main(
     worker_id: int,
-    task_q: "queue_mod.Queue[object]",
-    results: Connection,
+    conn: Connection,
     beats: Sequence[float],
     runner: Callable[[object], object],
     point_timeout: Optional[float],
 ) -> None:
-    """One worker process: pull tasks until the ``None`` sentinel.
+    """One worker process: run points from its pipe until ``None``.
 
-    Protocol on the worker's own ``results`` pipe (all tuples lead with
-    the message kind): ``("start", key)`` before computing,
-    ``("done", key, payload)`` / ``("error", key, error_str)`` after.
+    Protocol on the worker's own duplex ``conn``: the parent sends
+    ``(key, task)`` only while the worker is idle, and the worker
+    answers ``("done", key, payload)`` or ``("error", key, error_str)``.
     Sends are synchronous, so nothing is left half-written when the
     point kills the worker.
     """
     slot = HeartbeatSlot(beats, worker_id)
     while True:
-        item = task_q.get()
+        item = conn.recv()
         if item is None:
             return
         key, task = item
-        slot.beat()
-        results.send(("start", key))
         set_point_heartbeat(slot.beat)
         if point_timeout is not None:
             set_point_deadline(point_timeout)
         try:
             payload = runner(task)
         except BaseException as exc:  # report everything; parent decides
-            results.send(("error", key, _format_error(exc)))
+            conn.send(("error", key, _format_error(exc)))
         else:
-            results.send(("done", key, payload))
+            conn.send(("done", key, payload))
         finally:
             set_point_deadline(None)
             set_point_heartbeat(None)
-            slot.beat()
 
 
 @dataclass
@@ -180,7 +182,7 @@ class _Worker:
 
     index: int
     proc: multiprocessing.Process
-    results: Connection              # read end of the worker's pipe
+    conn: Connection                 # parent end of the worker's pipe
     current: Optional[str] = None    # key in flight on this worker
 
 
@@ -236,7 +238,6 @@ class WorkerSupervisor:
             ctx = multiprocessing.get_context("fork")
         except ValueError:  # no fork on this platform
             ctx = multiprocessing.get_context("spawn")
-        task_q = ctx.Queue()
         # A short job forks no idle workers: one per task at most.
         n_workers = min(policy.workers, len(tasks_by_key))
         beats = ctx.RawArray("d", n_workers)
@@ -246,34 +247,33 @@ class WorkerSupervisor:
         slots = [HeartbeatSlot(beats, i) for i in range(n_workers)]
 
         def spawn(index: int) -> _Worker:
-            reader, writer = ctx.Pipe(duplex=False)
+            conn, child_conn = ctx.Pipe()
             proc = ctx.Process(
                 target=_worker_main,
                 args=(
-                    index, task_q, writer, beats,
+                    index, child_conn, beats,
                     self.runner, policy.point_timeout,
                 ),
                 daemon=True,
             )
             proc.start()
-            # Only the worker writes: once it exits, reads see EOF.
-            writer.close()
-            slots[index].beat()
-            return _Worker(index=index, proc=proc, results=reader)
+            # Only the worker holds the other end: once it exits, reads
+            # see EOF.
+            child_conn.close()
+            return _Worker(index=index, proc=proc, conn=conn)
 
         def respawn(w: _Worker) -> _Worker:
-            w.results.close()
+            w.conn.close()
             return spawn(w.index)
 
         workers = [spawn(i) for i in range(n_workers)]
 
         unsettled = set(tasks_by_key)
         attempts: dict[str, int] = {k: 0 for k in tasks_by_key}
-        #: (ready_time, serial, key) -- scheduled (re)dispatches.
+        #: (ready_time, serial, key) -- scheduled (re)dispatches.  An
+        #: unsettled key is either here or some worker's ``current``.
         ready: list[tuple[float, int, str]] = []
         serial = 0
-        queued = 0          # pushed but not yet "start"-acknowledged
-        last_progress = t0  # last instant anything moved (orphan sweep)
 
         def schedule(key: str, delay: float = 0.0) -> None:
             nonlocal serial
@@ -281,18 +281,34 @@ class WorkerSupervisor:
             heapq.heappush(ready, (now + delay, serial, key))
             serial += 1
 
+        def dispatch() -> None:
+            """Hand each due point to an idle worker."""
+            now = time.monotonic()  # lint-sim: ignore[RPV002] -- harness scheduling, not sim state
+            for w in workers:
+                if not (ready and ready[0][0] <= now):
+                    return
+                if w.current is not None:
+                    continue
+                _, _, key = heapq.heappop(ready)
+                attempts[key] += 1
+                w.current = key
+                # The stall clock starts now, not at the worker's last
+                # beat before it went idle.
+                slots[w.index].beat()
+                self._event("dispatch", key=key, attempt=attempts[key])
+                try:
+                    w.conn.send((key, tasks_by_key[key]))
+                except OSError:
+                    pass  # the worker died; the liveness sweep retries the key
+
         def settle(outcome: PointOutcome) -> None:
-            nonlocal last_progress
             report.outcomes[outcome.key] = outcome
             unsettled.discard(outcome.key)
-            last_progress = time.monotonic()  # lint-sim: ignore[RPV002] -- harness scheduling, not sim state
             if self.on_result is not None:
                 self.on_result(outcome.key, outcome)
 
         def record_failure(key: str, error: str) -> None:
             """One attempt failed: retry, or poison the point."""
-            if key not in unsettled:
-                return
             if attempts[key] < policy.retry.max_attempts:
                 delay = policy.retry.nominal_delay(max(attempts[key], 1))
                 report.retries += 1
@@ -316,60 +332,34 @@ class WorkerSupervisor:
 
         try:
             while unsettled and not self._stop:
-                now = time.monotonic()  # lint-sim: ignore[RPV002] -- harness scheduling, not sim state
+                dispatch()
 
-                # Dispatch due (re)tries while the queue has appetite.
-                while (
-                    ready
-                    and ready[0][0] <= now
-                    and queued < n_workers
-                ):
-                    _, _, key = heapq.heappop(ready)
-                    if key not in unsettled:
-                        continue
-                    attempts[key] += 1
-                    task_q.put((key, tasks_by_key[key]))
-                    queued += 1
-                    self._event("dispatch", key=key, attempt=attempts[key])
-
-                # Drain results (wait briefly for the first).
-                messages = []
-                readable = wait_for([w.results for w in workers], policy.poll_interval)
+                # Answers (wait briefly for the first).
+                readable = wait_for([w.conn for w in workers], POLL_INTERVAL)
                 for w in workers:
-                    if w.results not in readable:
+                    if w.conn not in readable:
                         continue
                     try:
-                        while w.results.poll():
-                            messages.append((w, w.results.recv()))
+                        kind, key, value = w.conn.recv()
                     except (EOFError, OSError):
-                        pass  # the worker died; the liveness sweep respawns it
-                for w, msg in messages:
-                    kind, key = msg[0], msg[1]
-                    if kind == "start":
-                        queued = max(0, queued - 1)
-                        w.current = key
-                    elif kind == "done":
-                        if w.current == key:
-                            w.current = None
-                        if key in unsettled:
-                            settle(PointOutcome(
-                                key, "ok", payload=msg[2],
-                                attempts=attempts[key],
-                            ))
-                    elif kind == "error":
-                        if w.current == key:
-                            w.current = None
-                        record_failure(key, msg[2])
-                if messages:
-                    last_progress = time.monotonic()  # lint-sim: ignore[RPV002] -- harness scheduling, not sim state
+                        continue  # the worker died; the liveness sweep respawns it
+                    w.current = None
+                    # The idle worker's next point goes out before
+                    # ``on_result`` (the service's cache write) runs.
+                    dispatch()
+                    if kind == "done":
+                        settle(PointOutcome(
+                            key, "ok", payload=value, attempts=attempts[key],
+                        ))
+                    else:
+                        record_failure(key, value)
 
-                # Liveness sweep: deaths and wedges.
-                now = time.monotonic()  # lint-sim: ignore[RPV002] -- harness scheduling, not sim state
+                # Liveness sweep: deaths (busy or idle) and wedges.
                 for w in workers:
+                    key = w.current
                     if not w.proc.is_alive():
                         exitcode = w.proc.exitcode
                         report.worker_deaths += 1
-                        key = w.current
                         self._event(
                             "worker_death", worker=w.index, key=key,
                             exitcode=exitcode,
@@ -380,9 +370,7 @@ class WorkerSupervisor:
                                 key,
                                 f"worker died (exitcode {exitcode})",
                             )
-                        last_progress = now
                         continue
-                    key = w.current
                     if key is None:
                         continue
                     beat_age = slots[w.index].age()
@@ -399,23 +387,6 @@ class WorkerSupervisor:
                             key,
                             f"worker wedged (no heartbeat for {beat_age:.1f}s)",
                         )
-                        last_progress = now
-
-                # Orphan sweep: a worker died between task_q.get() and
-                # its "start" message, silently swallowing a dispatch.
-                # If nothing has moved for a while and nothing is in
-                # flight, re-issue every unsettled key.
-                stale = now - last_progress > max(2.0, 4 * policy.poll_interval)
-                if (
-                    stale
-                    and not ready
-                    and all(w.current is None for w in workers)
-                    and unsettled
-                ):
-                    for key in unsettled:
-                        schedule(key)
-                    queued = 0
-                    last_progress = now
         finally:
             if unsettled:
                 report.interrupted = self._stop
@@ -428,27 +399,24 @@ class WorkerSupervisor:
                     )
             # Wind the pool down without letting a hung worker wedge us.
             # Every task is settled by now, so a worker still busy is
-            # computing a stale answer (an interrupted point):
-            # kill it outright instead of waiting out the join deadline.
-            # Split idle from busy before any sentinel goes out: an idle
-            # worker may take any sentinel and exit at once, so checking
-            # liveness while putting them would skip a worker and leave
-            # another blocked on the queue until the join deadline.
-            idle = [w for w in workers if w.proc.is_alive() and w.current is None]
+            # computing a stale answer (an interrupted point): kill it
+            # outright instead of waiting out the join deadline.  Each
+            # idle worker gets its sentinel on its own pipe.
             for w in workers:
-                if w.current is not None and w.proc.is_alive():
+                if w.current is not None:
                     kill_worker(w)
-            for _ in idle:
-                task_q.put(None)
+                    continue
+                try:
+                    w.conn.send(None)
+                except OSError:
+                    pass  # already dead
             deadline = time.monotonic() + 2.0  # lint-sim: ignore[RPV002] -- harness shutdown, not sim state
             for w in workers:
                 w.proc.join(timeout=max(0.0, deadline - time.monotonic()))  # lint-sim: ignore[RPV002] -- harness shutdown, not sim state
                 if w.proc.is_alive():
                     kill_worker(w)
-            task_q.cancel_join_thread()
-            task_q.close()
             for w in workers:
-                w.results.close()
+                w.conn.close()
 
         report.elapsed_s = time.monotonic() - t0  # lint-sim: ignore[RPV002] -- harness timing, not sim state
         return report

@@ -48,7 +48,7 @@ FlowKey = tuple[int, int]
 
 @dataclass(frozen=True)
 class TransportConfig:
-    """Transport knobs; defaults mirror ``TRANSPORT_DEFAULTS`` in serve.
+    """Transport knobs (the serve layer's canonical defaults too).
 
     ``max_attempts`` counts total injections of one segment (first try
     included), so ``max_attempts=1`` aborts the flow on the first loss.

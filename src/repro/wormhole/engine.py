@@ -294,7 +294,11 @@ class WormholeEngine:
         #: channel order will do: a streaming worm's buffers settle
         #: into the pattern that order sets (see :meth:`_enter_lazy`).
         #: Only worms whose every held wire is solo free-run (see
-        #: :meth:`_enter_solo`).
+        #: :meth:`_enter_solo`).  The same condition lets the channel
+        #: sweep park blocked, compressed worms (see :meth:`_park`):
+        #: where no slowed wire counts visits down, a visit to a wire
+        #: with no ready lane changes nothing (a shared wire's round
+        #: robin moves only on a served lane).
         self._free_run = all(
             ch.slowdown == 1 for ch in network.topo_channels
         )
@@ -303,11 +307,6 @@ class WormholeEngine:
         self._single_lane = all(
             len(ch.lanes) == 1 for ch in network.topo_channels
         )
-        #: The channel sweep parks blocked, compressed worms (see
-        #: :meth:`_park`) where a visit to a wire with no ready lane
-        #: changes nothing: no slowed wire counts visits down (a shared
-        #: wire's round robin moves only on a served lane).
-        self._parking = self._free_run
         #: The channel sweep lets body lanes alone on their wire follow
         #: (see :meth:`_phase_advance_fast`) where it visits every
         #: route downstream first (``worm_phase_ok``; the direct
@@ -835,7 +834,7 @@ class WormholeEngine:
                     # its lane off the list (``_following``): park the
                     # worm, or list that lane again so that the sweep
                     # walks the followers behind it.
-                    if not (self._parking and self._park(p)):
+                    if not (self._free_run and self._park(p)):
                         hch.in_active = True
                         insort(active, hch, key=_TOPO_ORDER)
                 if obs is not None:
@@ -991,7 +990,7 @@ class WormholeEngine:
                     if ridx == len(plan) - 1:
                         # A blocked header sits in its head lane's
                         # buffer: a parking candidate.
-                        if p._blk_usable is not None and self._parking:
+                        if p._blk_usable is not None and self._free_run:
                             if parks is None:
                                 parks = [p]
                             else:
@@ -1030,7 +1029,7 @@ class WormholeEngine:
                             continue
                         if lane.route_idx == len(p.lanes) - 1:
                             awake = True
-                            if p._blk_usable is not None and self._parking:
+                            if p._blk_usable is not None and self._free_run:
                                 if parks is None:
                                     parks = [p]
                                 else:
@@ -1310,7 +1309,7 @@ class WormholeEngine:
         its oldest owned lane feeds from, which no other worm can
         touch), and only its own moves, a grant or an abort change
         those.  Visiting its wires would change nothing (no slowed
-        wire, see ``_parking``; a shared wire's round robin never
+        wire, see ``_free_run``; a shared wire's round robin never
         serves a lane that is not ready), so they leave ``_active``
         until :meth:`_unpark` at the grant, but for a shared wire with
         an owner awake (see :meth:`_unlist`); an abort simply

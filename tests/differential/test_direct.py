@@ -139,7 +139,7 @@ def test_light_load_torus_spans(monkeypatch):
         )
     # The adaptive torus's routes defy the channel order: its sweep
     # parks blocked worms but lets no lane follow.
-    assert eng.fast and eng._parking and not eng._following
+    assert eng.fast and eng._free_run and not eng._following
     assert eng.lanes_followed == 0
     assert eng.cycles_skipped > 0, "no span was taken"
     assert outcomes[1] == outcomes[0]

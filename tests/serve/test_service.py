@@ -34,7 +34,6 @@ FAST_POLICY = SupervisePolicy(
     retry=RetryPolicy(
         max_attempts=2, base_delay=0.01, factor=2.0, max_delay=0.05, jitter=0.0
     ),
-    poll_interval=0.02,
 )
 
 

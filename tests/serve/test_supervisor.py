@@ -6,8 +6,10 @@ environment variables, which forked workers inherit.
 """
 
 import dataclasses
+import multiprocessing
 import os
 import signal
+import threading
 import time
 from pathlib import Path
 
@@ -81,6 +83,19 @@ def _slow_first_runner(task):
     return {"value": task["id"]}
 
 
+def _slow_fails_once_runner(task):
+    """``slow`` writes its pid, sleeps and fails on its first attempt."""
+    if task["id"] == "slow":
+        pid_file = Path(os.environ[_SLOW_ENV]) / "slow.pid"
+        if not pid_file.exists():
+            tmp = pid_file.with_suffix(".tmp")
+            tmp.write_text(str(os.getpid()))
+            os.replace(tmp, pid_file)
+            time.sleep(1.0)
+            raise RuntimeError("first attempt fails")
+    return {"value": task["id"]}
+
+
 def _sleep_runner(task):
     time.sleep(30.0)  # never beats the heartbeat
     return {"value": 0}
@@ -125,10 +140,8 @@ def test_duplicate_keys_rejected():
 def test_wind_down_never_waits_out_the_join_deadline():
     """Every idle worker gets its own ``None`` sentinel at wind-down.
 
-    An idle worker may take any sentinel and exit at once.  Counting
-    the sentinels while that happens skips a worker now and then, and
-    the worker left without one blocks on the task queue until the
-    2 s join deadline kills it.  Many small jobs make the race show.
+    A worker left without one blocks on its pipe until the 2 s join
+    deadline kills it.  Many small jobs make a missed sentinel show.
     """
     policy = SupervisePolicy(workers=4, retry=FAST_RETRY)
     for job in range(25):
@@ -140,8 +153,6 @@ def test_wind_down_never_waits_out_the_join_deadline():
 
 def test_spawns_no_more_workers_than_tasks():
     """A one-task job forks one worker, whatever ``policy.workers`` says."""
-    import multiprocessing
-
     before = {p.pid for p in multiprocessing.active_children()}
     live = []
 
@@ -235,7 +246,7 @@ def test_worker_sigkill_recovery_byte_identical(tmp_path, monkeypatch):
     events = []
     report = WorkerSupervisor(
         _kill_once_runner,
-        SupervisePolicy(workers=2, retry=FAST_RETRY, poll_interval=0.02),
+        SupervisePolicy(workers=2, retry=FAST_RETRY),
         on_event=lambda kind, **info: events.append((kind, info)),
     ).run(tasks)
 
@@ -252,6 +263,48 @@ def test_worker_sigkill_recovery_byte_identical(tmp_path, monkeypatch):
         )
 
 
+def test_sigkilled_idle_worker_does_not_wedge_the_job(tmp_path, monkeypatch):
+    """SIGKILL a worker while it waits, idle, for its next point.
+
+    Nothing the workers share may be left held by the dead one: the
+    failed ``slow`` point must still reach a worker for its retry.  A
+    timer bounds the run, so a wedged job ends interrupted, not hung.
+    """
+    monkeypatch.setenv(_SLOW_ENV, str(tmp_path))
+    killed = []
+
+    def kill_idle_siblings(key, outcome):
+        if key != "fast":
+            return
+        pid_file = tmp_path / "slow.pid"
+        deadline = time.monotonic() + 10.0
+        while not pid_file.exists() and time.monotonic() < deadline:
+            time.sleep(0.01)
+        slow_pid = int(pid_file.read_text())
+        time.sleep(0.2)  # let the finished worker reach its idle wait
+        for proc in multiprocessing.active_children():
+            if proc.pid != slow_pid:
+                os.kill(proc.pid, signal.SIGKILL)
+                killed.append(proc.pid)
+
+    sup = WorkerSupervisor(
+        _slow_fails_once_runner,
+        SupervisePolicy(workers=2, retry=FAST_RETRY),
+        on_result=kill_idle_siblings,
+    )
+    timer = threading.Timer(20.0, sup.request_stop)
+    timer.start()
+    try:
+        report = sup.run([("fast", {"id": "fast"}), ("slow", {"id": "slow"})])
+    finally:
+        timer.cancel()
+
+    assert killed, "the drill never fired"
+    assert report.complete, f"failures: {report.failures}"
+    assert report.worker_deaths >= 1
+    assert report.outcomes["slow"].attempts == 2
+
+
 def test_wedged_worker_stall_killed():
     """A live-but-silent worker is killed once its heartbeat goes stale."""
     report = WorkerSupervisor(
@@ -263,7 +316,6 @@ def test_wedged_worker_stall_killed():
                 max_delay=0.05, jitter=0.0,
             ),
             stall_after=0.4,
-            poll_interval=0.02,
         ),
     ).run([("wedge", {})])
     assert report.stall_kills >= 1
@@ -291,7 +343,6 @@ def test_cooperative_timeout_beats_inside_simulation():
             ),
             point_timeout=0.3,
             stall_after=2.0,
-            poll_interval=0.02,
         ),
     ).run([(point.key(), point)])
     outcome = report.outcomes[point.key()]
@@ -308,7 +359,7 @@ def test_request_stop_interrupts_gracefully(tmp_path, monkeypatch):
     monkeypatch.setenv(_SLOW_ENV, str(tmp_path))
     sup = WorkerSupervisor(
         _slow_first_runner,
-        SupervisePolicy(workers=1, retry=FAST_RETRY, poll_interval=0.02),
+        SupervisePolicy(workers=1, retry=FAST_RETRY),
         on_result=lambda key, outcome: sup.request_stop(),
     )
     # first task settles (its marker pre-created), then stop is

@@ -7,7 +7,8 @@ subsystems a point never runs export their names lazily
 (:mod:`repro._lazy`), so:
 
 * the engine entry modules leave the service, the verifier and the
-  figure/report/observability layers unloaded;
+  figure/report/observability layers unloaded, and the point bodies
+  (:mod:`repro.serve.compute`) leave the figure builders unloaded;
 * every name a lazy package lists in ``__all__`` still resolves, by
   attribute, by ``from pkg import *`` and in ``dir(pkg)``;
 * :mod:`repro.serve`, the parent the service forks its workers from,
@@ -112,6 +113,17 @@ def test_from_import_of_lazy_names():
 
     assert fig18 is defined and ProgressWatchdog is watchdog
     assert SCALED.name and callable(render_figure)
+
+
+def test_serve_compute_leaves_out_the_figure_builders():
+    """The point bodies need no figure: the report and export modules
+    name :class:`FigureResult` in annotations only."""
+    loaded = _run("""
+        import json, sys
+        import repro.serve.compute
+        print(json.dumps(sorted(m for m in sys.modules if m.startswith("repro"))))
+    """)
+    assert "repro.experiments.figures" not in loaded
 
 
 def test_serve_parent_holds_every_point_closure():

@@ -34,7 +34,7 @@ def test_light_load_vmin_spans_and_free_runs(default_tier):
     env, eng = streaming_point(kind="vmin")
     # Unslowed wires: body lanes follow and blocked worms park, shared
     # round robins or not.
-    assert eng._free_run and eng._following and eng._parking
+    assert eng._free_run and eng._following
     entries = _count(eng, "_enter_lazy")
     eng.start()
     env.run(until=CYCLES)
